@@ -8,7 +8,7 @@
 //!   `table1` binary reports.
 //! - `impact/*`: the Section 6.1.1 ablation configurations.
 
-use futhark::{Device, PipelineOptions};
+use futhark::{Device, RunOptions, Schedule};
 use std::time::Instant;
 
 const SAMPLES: u32 = 10;
@@ -32,10 +32,10 @@ fn bench<F: FnMut()>(group: &str, name: &str, mut f: F) {
     );
 }
 
-fn bench_table1() {
+fn bench_table1(run: RunOptions) {
     for b in futhark_bench::all_benchmarks() {
         // Compile once; measure the simulated execution.
-        let compiled = match b.compile(PipelineOptions::default()) {
+        let compiled = match b.compile(Schedule::default()) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("skipping {}: {e}", b.name);
@@ -43,40 +43,26 @@ fn bench_table1() {
             }
         };
         bench("table1", &format!("{}-gtx780", b.name), || {
-            compiled.run(Device::Gtx780, &b.small_args).expect("runs");
+            compiled
+                .run_with_opts(Device::Gtx780, &b.small_args, run)
+                .expect("runs");
         });
     }
 }
 
-fn bench_impact() {
+fn bench_impact(run: RunOptions) {
     let b = futhark_bench::benchmark("MRI-Q").expect("exists");
-    for (tag, opts) in [
-        ("all-on", PipelineOptions::default()),
-        (
-            "no-fusion",
-            PipelineOptions {
-                fusion: false,
-                ..PipelineOptions::default()
-            },
-        ),
-        (
-            "no-coalescing",
-            PipelineOptions {
-                coalescing: false,
-                ..PipelineOptions::default()
-            },
-        ),
-        (
-            "no-tiling",
-            PipelineOptions {
-                tiling: false,
-                ..PipelineOptions::default()
-            },
-        ),
+    for (tag, off) in [
+        ("all-on", &[][..]),
+        ("no-fusion", &["fusion"]),
+        ("no-coalescing", &["coalescing"]),
+        ("no-tiling", &["tiling"]),
     ] {
-        let compiled = b.compile(opts).expect("compiles");
+        let compiled = b.compile(Schedule::without(off)).expect("compiles");
         bench("impact", &format!("mriq-{tag}"), || {
-            compiled.run(Device::Gtx780, &b.small_args).expect("runs");
+            compiled
+                .run_with_opts(Device::Gtx780, &b.small_args, run)
+                .expect("runs");
         });
     }
 }
@@ -86,10 +72,11 @@ fn main() {
     // substring filter and ignore `--bench`-style flags.
     let filter: Option<String> = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     let want = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
+    let run = futhark_bench::run_options_from_env();
     if want("table1") {
-        bench_table1();
+        bench_table1(run);
     }
     if want("impact") {
-        bench_impact();
+        bench_impact(run);
     }
 }

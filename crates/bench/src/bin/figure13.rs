@@ -19,10 +19,11 @@ fn main() {
     println!("Figure 13: Relative speedup compared to reference implementations");
     println!("(simulated; paper's measured speedups in parentheses)");
     println!("{:-<100}", "");
+    let run = futhark_bench::run_options_from_env();
     for b in futhark_bench::all_benchmarks() {
         let nv = (|| -> Result<f64, futhark::Error> {
-            let fut = b.run_futhark(Device::Gtx780)?.total_ms();
-            let rf = b.run_reference(Device::Gtx780)?;
+            let fut = b.run_futhark(Device::Gtx780, run)?.total_ms();
+            let rf = b.run_reference(Device::Gtx780, run)?;
             Ok(rf / fut)
         })();
         let paper_nv = b.paper.nv_ref.map(|r| r / b.paper.nv_fut);
@@ -38,8 +39,8 @@ fn main() {
         }
         if b.amd_reference {
             let amd = (|| -> Result<f64, futhark::Error> {
-                let fut = b.run_futhark(Device::W8100)?.total_ms();
-                let rf = b.run_reference(Device::W8100)?;
+                let fut = b.run_futhark(Device::W8100, run)?.total_ms();
+                let rf = b.run_reference(Device::W8100, run)?;
                 Ok(rf / fut)
             })();
             let paper_amd = match (b.paper.amd_ref, b.paper.amd_fut) {

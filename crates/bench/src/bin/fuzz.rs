@@ -34,6 +34,7 @@ fn main() {
     let mut cfg = CampaignConfig {
         seed: 1,
         cases: 100,
+        run: futhark_bench::run_options_from_env(),
         ..CampaignConfig::default()
     };
     let mut json = false;

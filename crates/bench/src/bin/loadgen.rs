@@ -92,7 +92,14 @@ fn build_workload(fuzz_count: usize) -> Vec<Job> {
         let ok = futhark::Compiler::new()
             .compile(&source)
             .ok()
-            .and_then(|c| c.run(futhark::Device::Gtx780, &args).ok())
+            .and_then(|c| {
+                c.run_with_opts(
+                    futhark::Device::Gtx780,
+                    &args,
+                    futhark::RunOptions::default(),
+                )
+                .ok()
+            })
             .is_some();
         if ok {
             let name = format!("fuzz-{seed}");
@@ -540,7 +547,12 @@ fn main() {
     let doc = Json::obj(doc_fields);
 
     if let Some(path) = schema {
-        check_schema(&path, &doc);
+        futhark_bench::check_schema(
+            &path,
+            &doc,
+            "loadgen",
+            &format!("cargo run --release -p futhark-bench --bin loadgen -- --sweep --out {path}"),
+        );
     }
 
     // The serve contract, asserted on every run.
@@ -597,64 +609,4 @@ fn main() {
             g("warm", "cache_hit_rate"),
         );
     }
-}
-
-/// Collects every key path of a JSON document (objects recurse by key,
-/// arrays contribute one `[]` step per distinct element shape) — the
-/// document's *schema*, independent of its values.
-fn schema_paths(j: &Json, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
-    match j {
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
-                let p = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                out.insert(p.clone());
-                schema_paths(v, &p, out);
-            }
-        }
-        Json::Arr(items) => {
-            for v in items {
-                schema_paths(v, &format!("{prefix}[]"), out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Compares the committed results file's schema against the document
-/// loadgen writes today. Exits 0 when the key sets match, 1 on drift.
-fn check_schema(path: &str, current: &Json) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(1)
-    });
-    let committed = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("parsing {path}: {e}");
-        std::process::exit(1)
-    });
-    let mut want = std::collections::BTreeSet::new();
-    let mut have = std::collections::BTreeSet::new();
-    schema_paths(current, "", &mut want);
-    schema_paths(&committed, "", &mut have);
-    if want == have {
-        println!(
-            "schema OK: {path} matches the current loadgen output ({} key paths)",
-            want.len()
-        );
-        std::process::exit(0)
-    }
-    for missing in want.difference(&have) {
-        println!("schema drift: {path} is missing {missing:?}");
-    }
-    for extra in have.difference(&want) {
-        println!("schema drift: {path} has stale key {extra:?}");
-    }
-    eprintln!(
-        "schema of {path} drifted; regenerate with:\n  \
-         cargo run --release -p futhark-bench --bin loadgen -- --sweep --out {path}"
-    );
-    std::process::exit(1)
 }

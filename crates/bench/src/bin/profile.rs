@@ -19,7 +19,7 @@
 //!   --no-simplify / --no-fusion / --no-coalescing / --no-tiling /
 //!   --no-memplan        disable individual optimisations
 
-use futhark::{prof, Compiler, Device, Json, PipelineOptions};
+use futhark::{prof, Compiler, Device, Json, RunOptions, Schedule};
 use futhark_bench::{all_benchmarks, benchmark, Benchmark};
 
 struct Config {
@@ -32,7 +32,8 @@ struct Config {
     roofline: bool,
     json: Option<String>,
     chrome: Option<String>,
-    opts: PipelineOptions,
+    sched: Schedule,
+    run: RunOptions,
 }
 
 fn usage() -> ! {
@@ -70,7 +71,8 @@ fn parse_args() -> Config {
         roofline: false,
         json: None,
         chrome: None,
-        opts: PipelineOptions::default(),
+        sched: Schedule::default(),
+        run: futhark_bench::run_options_from_env(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -107,11 +109,10 @@ fn parse_args() -> Config {
             "--roofline" => cfg.roofline = true,
             "--json" => cfg.json = Some(args.next().unwrap_or_else(|| usage())),
             "--chrome" => cfg.chrome = Some(args.next().unwrap_or_else(|| usage())),
-            "--no-simplify" => cfg.opts.simplify = false,
-            "--no-fusion" => cfg.opts.fusion = false,
-            "--no-coalescing" => cfg.opts.coalescing = false,
-            "--no-tiling" => cfg.opts.tiling = false,
-            "--no-memplan" => cfg.opts.memplan = false,
+            "--no-simplify" | "--no-fusion" | "--no-coalescing" | "--no-tiling"
+            | "--no-memplan" => {
+                cfg.sched.set_switch(&a["--no-".len()..], false);
+            }
             _ if a.starts_with('-') => usage(),
             _ if cfg.name.is_none() => cfg.name = Some(a),
             _ => usage(),
@@ -121,24 +122,20 @@ fn parse_args() -> Config {
 }
 
 fn profile_one(b: &Benchmark, cfg: &Config) -> Result<(), String> {
-    let compiled = Compiler::with_options(cfg.opts)
+    let compiled = Compiler::with_schedule(cfg.sched.clone())
         .with_trace()
         .compile(&b.source)
         .map_err(|e| format!("{}: compile failed: {e}", b.name))?;
     let args = if cfg.small { &b.small_args } else { &b.args };
-    let perf = if cfg.annotate || cfg.analyze {
-        // Profiled run: per-site counters feed the annotated listing and
-        // the analysis findings (divergence waste is per-site).
-        let (_, perf) = compiled
-            .run_profiled(cfg.device, args)
-            .map_err(|e| format!("{}: run failed: {e}", b.name))?;
-        perf
-    } else {
-        let (_, perf) = compiled
-            .run(cfg.device, args)
-            .map_err(|e| format!("{}: run failed: {e}", b.name))?;
-        perf
+    // Profiled run: per-site counters feed the annotated listing and the
+    // analysis findings (divergence waste is per-site).
+    let run = RunOptions {
+        profile: cfg.annotate || cfg.analyze,
+        ..cfg.run
     };
+    let (_, perf) = compiled
+        .run_with_opts(cfg.device, args, run)
+        .map_err(|e| format!("{}: run failed: {e}", b.name))?;
     println!(
         "{} ({}) on {:?}, {} dataset",
         b.name,

@@ -32,9 +32,7 @@
 use futhark_core::{BinOp, Buffer, CmpOp, Scalar, ScalarType};
 use futhark_gpu::kernel::{KExp, KParam, KStm, Kernel};
 use futhark_gpu::sim::{kernel_time_breakdown, Arg, DeviceMemory, KernelStats};
-use futhark_gpu::{
-    host_threads, launch_decoded_with, DecodedKernel, DeviceProfile, LaunchOpts, SimEngine,
-};
+use futhark_gpu::{launch_decoded, DecodedKernel, DeviceProfile, RunOptions, SimEngine};
 use futhark_trace::Json;
 use std::time::Instant;
 
@@ -346,7 +344,6 @@ fn cases() -> Vec<Case> {
 
 /// Runs `launches` back-to-back launches with the given worker count and
 /// engine and returns (wall seconds, stats of the last launch).
-#[allow(clippy::too_many_arguments)]
 fn run_config(
     device: &DeviceProfile,
     dk: &DecodedKernel,
@@ -354,83 +351,16 @@ fn run_config(
     args: &[Arg],
     mem: &mut DeviceMemory,
     launches: u32,
-    threads: usize,
-    engine: SimEngine,
+    opts: RunOptions,
 ) -> (f64, KernelStats) {
-    let opts = LaunchOpts {
-        threads,
-        profile: false,
-        engine,
-    };
     let t0 = Instant::now();
     let mut last = KernelStats::default();
     for _ in 0..launches {
-        last = launch_decoded_with(device, dk, n as u64, args, mem, opts)
+        last = launch_decoded(device, dk, n as u64, args, mem, opts)
             .expect("simbench kernel faulted")
             .stats;
     }
     (t0.elapsed().as_secs_f64(), last)
-}
-
-/// Collects every key path of a JSON document (objects recurse by key,
-/// arrays contribute one `[]` step per distinct element shape) — the
-/// document's *schema*, independent of its values.
-fn schema_paths(j: &Json, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
-    match j {
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
-                let p = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                out.insert(p.clone());
-                schema_paths(v, &p, out);
-            }
-        }
-        Json::Arr(items) => {
-            for v in items {
-                schema_paths(v, &format!("{prefix}[]"), out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Compares the committed results file's schema against the document
-/// simbench writes today. Exits 0 when the key sets match, 1 on drift
-/// (listing the paths present on only one side).
-fn check_schema(path: &str, current: &Json) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(1)
-    });
-    let committed = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("parsing {path}: {e}");
-        std::process::exit(1)
-    });
-    let mut want = std::collections::BTreeSet::new();
-    let mut have = std::collections::BTreeSet::new();
-    schema_paths(current, "", &mut want);
-    schema_paths(&committed, "", &mut have);
-    if want == have {
-        println!(
-            "schema OK: {path} matches the current simbench output ({} key paths)",
-            want.len()
-        );
-        std::process::exit(0)
-    }
-    for missing in want.difference(&have) {
-        println!("schema drift: {path} is missing {missing:?}");
-    }
-    for extra in have.difference(&want) {
-        println!("schema drift: {path} has stale key {extra:?}");
-    }
-    eprintln!(
-        "schema of {path} drifted; regenerate with:\n  \
-         cargo run --release -p futhark-bench --bin simbench"
-    );
-    std::process::exit(1)
 }
 
 fn main() {
@@ -448,8 +378,17 @@ fn main() {
         .unwrap_or(if quick { 10 } else { 40 });
     let par_threads: usize = opt("--threads")
         .map(|s| s.parse().expect("--threads N"))
-        .unwrap_or_else(host_threads)
+        .unwrap_or_else(|| futhark_bench::run_options_from_env().threads)
         .max(1);
+    let seq = |engine| RunOptions {
+        threads: 1,
+        profile: false,
+        engine,
+    };
+    let par = RunOptions {
+        threads: par_threads,
+        ..seq(SimEngine::Warp)
+    };
     let out_path = opt("--out").unwrap_or_else(|| "BENCH_sim.json".into());
     let device = DeviceProfile::gtx780();
 
@@ -479,7 +418,7 @@ fn main() {
         let mut mem = DeviceMemory::new();
         let args = (case.setup)(&mut mem, n);
         // Warm-up (page in buffers, fill caches).
-        let _ = run_config(&device, &dk, n, &args, &mut mem, 1, 1, SimEngine::Warp);
+        let _ = run_config(&device, &dk, n, &args, &mut mem, 1, seq(SimEngine::Warp));
         // The per-lane reference engine, sequential: the "before" of the
         // warp rebuild, re-measured in this very build.
         let (lane_s, lane_stats) = run_config(
@@ -489,8 +428,7 @@ fn main() {
             &args,
             &mut mem,
             launches,
-            1,
-            SimEngine::Lane,
+            seq(SimEngine::Lane),
         );
         let (seq_s, seq_stats) = run_config(
             &device,
@@ -499,19 +437,9 @@ fn main() {
             &args,
             &mut mem,
             launches,
-            1,
-            SimEngine::Warp,
+            seq(SimEngine::Warp),
         );
-        let (par_s, par_stats) = run_config(
-            &device,
-            &dk,
-            n,
-            &args,
-            &mut mem,
-            launches,
-            par_threads,
-            SimEngine::Warp,
-        );
+        let (par_s, par_stats) = run_config(&device, &dk, n, &args, &mut mem, launches, par);
         // The warp-vs-lane differential: one decode driving all lanes must
         // count exactly what per-lane dispatch counted.
         assert_eq!(
@@ -586,7 +514,12 @@ fn main() {
         ("worst_speedup", Json::F64(worst_speedup)),
     ]);
     if let Some(path) = opt("--check-schema") {
-        check_schema(&path, &doc);
+        futhark_bench::check_schema(
+            &path,
+            &doc,
+            "simbench",
+            "cargo run --release -p futhark-bench --bin simbench",
+        );
     }
     match std::fs::write(&out_path, doc.render_pretty()) {
         Ok(()) => println!("results written to {out_path}"),

@@ -17,20 +17,21 @@ fn main() {
         "Benchmark", "NV ref", "NV fut", "x", "AMD ref", "AMD fut", "x"
     );
     println!("{:-<128}", "");
+    let run = futhark_bench::run_options_from_env();
     for b in futhark_bench::all_benchmarks() {
         if verify {
-            if let Err(e) = b.verify() {
+            if let Err(e) = b.verify(run) {
                 println!("{:<14} | VERIFY FAILED: {e}", b.name);
                 continue;
             }
         }
         let row = (|| -> Result<String, futhark::Error> {
-            let nv_fut = b.run_futhark(Device::Gtx780)?.total_ms();
-            let nv_ref = b.run_reference(Device::Gtx780)?;
+            let nv_fut = b.run_futhark(Device::Gtx780, run)?.total_ms();
+            let nv_ref = b.run_reference(Device::Gtx780, run)?;
             let (amd_ref_s, amd_fut_s, amd_x) = {
-                let amd_fut = b.run_futhark(Device::W8100)?.total_ms();
+                let amd_fut = b.run_futhark(Device::W8100, run)?.total_ms();
                 if b.amd_reference {
-                    let amd_ref = b.run_reference(Device::W8100)?;
+                    let amd_ref = b.run_reference(Device::W8100, run)?;
                     (
                         format!("{amd_ref:>10.2}"),
                         format!("{amd_fut:>10.2}"),

@@ -30,7 +30,7 @@
 //!   --check-schema FILE  compare FILE's JSON schema against what tune
 //!                    writes today (quick search); exit 1 on drift
 
-use futhark::{schedule_from_json, schedule_to_json, Device, Schedule};
+use futhark::{schedule_from_json, schedule_to_json, Device, RunOptions, Schedule};
 use futhark_bench::{all_benchmarks, benchmark, Benchmark};
 use futhark_core::Value;
 use futhark_trace::Json;
@@ -99,67 +99,10 @@ fn schedule_doc(
     ])
 }
 
-/// Collects every key path of a JSON document — its schema (see
-/// simbench for the convention).
-fn schema_paths(j: &Json, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
-    match j {
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
-                let p = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                out.insert(p.clone());
-                schema_paths(v, &p, out);
-            }
-        }
-        Json::Arr(items) => {
-            for v in items {
-                schema_paths(v, &format!("{prefix}[]"), out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn check_schema(path: &str, current: &Json) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(1)
-    });
-    let committed = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("parsing {path}: {e}");
-        std::process::exit(1)
-    });
-    let mut want = std::collections::BTreeSet::new();
-    let mut have = std::collections::BTreeSet::new();
-    schema_paths(current, "", &mut want);
-    schema_paths(&committed, "", &mut have);
-    if want == have {
-        println!(
-            "schema OK: {path} matches the current tune output ({} key paths)",
-            want.len()
-        );
-        std::process::exit(0)
-    }
-    for missing in want.difference(&have) {
-        println!("schema drift: {path} is missing {missing:?}");
-    }
-    for extra in have.difference(&want) {
-        println!("schema drift: {path} has stale key {extra:?}");
-    }
-    eprintln!(
-        "schema of {path} drifted; regenerate with:\n  \
-         cargo run --release -p futhark-bench --bin tune"
-    );
-    std::process::exit(1)
-}
-
 /// Re-evaluates one committed schedule file: the schedule must still
 /// parse from its canonical label, produce outputs bit-identical to the
 /// default schedule's, and hit the recorded modelled time exactly.
-fn replay_one(dir: &str, bench: &Benchmark) -> Result<f64, String> {
+fn replay_one(dir: &str, bench: &Benchmark, run: RunOptions) -> Result<f64, String> {
     let path = format!("{dir}/{}.json", bench.name);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -183,9 +126,9 @@ fn replay_one(dir: &str, bench: &Benchmark) -> Result<f64, String> {
         .and_then(|s| s.get("total_us"))
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("{path}: no tuned_score.total_us"))?;
-    let (def_out, _, _) = evaluate(&bench.source, args, device, &Schedule::default())
+    let (def_out, _, _) = evaluate(&bench.source, args, device, &Schedule::default(), run)
         .map_err(|e| format!("{}: default schedule failed: {e}", bench.name))?;
-    let (tuned_out, tuned_score, _) = evaluate(&bench.source, args, device, &sched)
+    let (tuned_out, tuned_score, _) = evaluate(&bench.source, args, device, &sched, run)
         .map_err(|e| format!("{}: tuned schedule failed: {e}", bench.name))?;
     if def_out.len() != tuned_out.len() || !def_out.iter().zip(&tuned_out).all(|(a, b)| a.bit_eq(b))
     {
@@ -206,7 +149,10 @@ fn replay_one(dir: &str, bench: &Benchmark) -> Result<f64, String> {
 fn main() {
     let mut benches: Vec<String> = Vec::new();
     let mut device = Device::Gtx780;
-    let mut cfg = TuneConfig::default();
+    let mut cfg = TuneConfig {
+        run: futhark_bench::run_options_from_env(),
+        ..TuneConfig::default()
+    };
     let mut small = false;
     let mut out_path = "BENCH_tune.json".to_string();
     let mut sched_dir = "schedules".to_string();
@@ -258,7 +204,7 @@ fn main() {
     if replay {
         let mut failed = false;
         for b in &selected {
-            match replay_one(&sched_dir, b) {
+            match replay_one(&sched_dir, b, cfg.run) {
                 Ok(us) => println!("replay OK: {:<12} {us:>10.1} µs (bit-identical)", b.name),
                 Err(e) => {
                     println!("replay FAILED: {e}");
@@ -280,6 +226,7 @@ fn main() {
                 seed: 0,
                 rounds: 1,
                 site_samples: 2,
+                ..cfg
             },
         )
     } else {
@@ -365,7 +312,12 @@ fn main() {
         ("benchmarks", Json::Arr(rows)),
     ]);
     if let Some(path) = schema {
-        check_schema(&path, &doc);
+        futhark_bench::check_schema(
+            &path,
+            &doc,
+            "tune",
+            "cargo run --release -p futhark-bench --bin tune",
+        );
     }
     if write {
         match std::fs::write(&out_path, doc.render_pretty()) {

@@ -47,7 +47,7 @@ fn main() {
     }
     for b in futhark_bench::all_benchmarks() {
         let compiled = b
-            .compile(futhark::PipelineOptions::default())
+            .compile(futhark::Schedule::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", b.name));
         let run = |engine: SimEngine| {
             let opts = RunOptions {

@@ -3,7 +3,7 @@
 
 use super::{f32s, i, rng};
 use crate::{Benchmark, PaperNumbers, Reference, Suite};
-use futhark::PipelineOptions;
+use futhark::Schedule;
 use futhark_core::Value;
 
 /// The Parboil benchmarks used (MRI-Q only).
@@ -51,11 +51,7 @@ fun main (nv: i64) (nk: i64) (x: [nv]f32) (kx: [nk]f32) (phi: [nk]f32): ([nv]f32
         source,
         reference: Reference {
             source: None,
-            opts: PipelineOptions {
-                tiling: false,
-                coalescing: false,
-                ..PipelineOptions::default()
-            },
+            schedule: Schedule::without(&["tiling", "coalescing"]),
             adjust_nv: 1.0,
             adjust_amd: 1.0,
             note: "the reference leaves locality unoptimised (§1); modelled by \

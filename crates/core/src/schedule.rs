@@ -203,6 +203,10 @@ impl fmt::Display for LabelError {
     }
 }
 
+/// The coarse switches the Section 6.1.1 ablations turn off, in naming
+/// order (see [`Schedule::ablation_matrix`]).
+const ABLATION_SWITCHES: [&str; 5] = ["simplify", "fusion", "coalescing", "tiling", "memplan"];
+
 /// The label's format-version prefix. Bump on any encoding change so
 /// old labels are rejected rather than misread.
 const LABEL_VERSION: &str = "sched1";
@@ -233,6 +237,68 @@ impl Schedule {
     pub fn with_override(mut self, class: ChoiceClass, site: u32, value: bool) -> Schedule {
         self.sites[class.index()].overrides.insert(site, value);
         self
+    }
+
+    /// Sets one coarse switch by name: a pass switch (`simplify`,
+    /// `fusion`, `memplan`, `check`) or a class-wide site default
+    /// (`coalescing` covers both transposition classes, `tiling` the tile
+    /// class). Returns `false` for an unknown name.
+    pub fn set_switch(&mut self, name: &str, on: bool) -> bool {
+        match name {
+            "simplify" => self.simplify_pass = on,
+            "fusion" => self.fusion_pass = on,
+            "memplan" => self.memplan = on,
+            "check" => self.check = on,
+            "coalescing" => {
+                self.decisions_mut(ChoiceClass::CoalesceInputs).default = on;
+                self.decisions_mut(ChoiceClass::CoalesceOutputs).default = on;
+            }
+            "tiling" => self.decisions_mut(ChoiceClass::Tile).default = on,
+            _ => return false,
+        }
+        true
+    }
+
+    /// The default schedule with the named coarse switches (see
+    /// [`Schedule::set_switch`]) turned off.
+    ///
+    /// # Panics
+    ///
+    /// On an unknown switch name.
+    pub fn without(switches: &[&str]) -> Schedule {
+        let mut s = Schedule::default();
+        for name in switches {
+            assert!(s.set_switch(name, false), "unknown switch {name:?}");
+        }
+        s
+    }
+
+    /// The corners of the Section 6.1.1 ablations, used by the
+    /// differential fuzzer and the impact experiments: everything on,
+    /// everything off, and each of `simplify`, `fusion`, `coalescing`,
+    /// `tiling` and `memplan` off on its own. Each corner is named by the
+    /// switches it leaves on (`"none"` when none are); checking stays on
+    /// in every corner. Every corner must produce bit-identical results on
+    /// every program the frontend accepts; the fuzzer treats any
+    /// difference as a bug.
+    pub fn ablation_matrix() -> Vec<(String, Schedule)> {
+        let mut corners = vec![vec![], ABLATION_SWITCHES.to_vec()];
+        corners.extend(ABLATION_SWITCHES.iter().map(|&s| vec![s]));
+        corners
+            .into_iter()
+            .map(|off| {
+                let on: Vec<&str> = ABLATION_SWITCHES
+                    .into_iter()
+                    .filter(|s| !off.contains(s))
+                    .collect();
+                let name = if on.is_empty() {
+                    "none".to_string()
+                } else {
+                    on.join("+")
+                };
+                (name, Schedule::without(&off))
+            })
+            .collect()
     }
 
     /// Whether this is the all-default schedule (the classic pipeline).
@@ -633,5 +699,33 @@ mod tests {
             .with_default(ChoiceClass::Tile, false)
             .with_override(ChoiceClass::FuseVertical, 3, false);
         assert_eq!(s.describe(), "-fuse_vertical@3 -tile");
+    }
+
+    #[test]
+    fn switches_set_pass_flags_and_class_defaults() {
+        let s = Schedule::without(&["coalescing", "tiling", "memplan"]);
+        assert_eq!(
+            s,
+            Schedule {
+                memplan: false,
+                ..Schedule::default()
+            }
+            .with_default(ChoiceClass::CoalesceInputs, false)
+            .with_default(ChoiceClass::CoalesceOutputs, false)
+            .with_default(ChoiceClass::Tile, false)
+        );
+        assert!(!Schedule::default().set_switch("unrolling", false));
+        let names: Vec<String> = Schedule::ablation_matrix()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert_eq!(
+            names[..3],
+            [
+                "simplify+fusion+coalescing+tiling+memplan",
+                "none",
+                "fusion+coalescing+tiling+memplan"
+            ]
+        );
     }
 }

@@ -13,7 +13,7 @@
 //! # Quick start
 //!
 //! ```
-//! use futhark::{Compiler, Device};
+//! use futhark::{Compiler, Device, RunOptions};
 //! use futhark_core::{ArrayVal, Value};
 //!
 //! let compiled = Compiler::new()
@@ -23,9 +23,10 @@
 //!          let s = reduce (+) 0.0f32 ys\n\
 //!          in s",
 //!     )?;
-//! let (out, perf) = compiled.run(
+//! let (out, perf) = compiled.run_with_opts(
 //!     Device::Gtx780,
 //!     &[Value::i64(4), Value::Array(ArrayVal::from_f32s(vec![1.0, 2.0, 3.0, 4.0]))],
+//!     RunOptions::default(),
 //! )?;
 //! assert_eq!(out, vec![Value::f32(30.0)]);
 //! assert!(perf.total_ms() > 0.0);
@@ -41,6 +42,7 @@ use futhark_gpu::exec::{self};
 use futhark_gpu::plan::GpuPlan;
 pub use futhark_gpu::DeviceProfile;
 use futhark_trace::SpanTimer;
+use std::borrow::Cow;
 use std::fmt;
 
 pub mod analyze;
@@ -51,7 +53,7 @@ pub use futhark_gpu::exec::{ExecError, LaunchRecord, PerfReport, RunOptions, Tim
 pub use futhark_gpu::sim::{
     Limiter, MemEvent, MemOp, MemStats, SimError, SiteStats, TimeBreakdown,
 };
-pub use futhark_gpu::{sim_engine, SimEngine};
+pub use futhark_gpu::SimEngine;
 pub use futhark_trace::{CompileReport, Counters, IrSize, Json, PassSpan};
 
 /// The two simulated devices of the paper's evaluation.
@@ -73,129 +75,22 @@ impl Device {
     }
 }
 
-/// Pipeline configuration; each switch corresponds to one of the
-/// optimisations whose impact Section 6.1.1 measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineOptions {
-    /// Run the simplification engine.
-    pub simplify: bool,
-    /// Run the fusion engine (Section 4).
-    pub fusion: bool,
-    /// Apply coalescing-by-transposition (Section 5.2).
-    pub coalescing: bool,
-    /// Apply 1-D block tiling in local memory (Section 5.2).
-    pub tiling: bool,
-    /// Run the memory planner over the GPU plan (liveness-driven frees,
-    /// copy elision, buffer steals, allocation hoisting; the paper's
-    /// in-place story made explicit).
-    pub memplan: bool,
-    /// Reject programs that fail uniqueness checking (on by default; the
-    /// checker is the paper's Section 3 type system).
-    pub check: bool,
+/// What [`Compiled::run_with_opts`] runs on: a [`Device`] or a borrowed
+/// custom [`DeviceProfile`].
+pub trait Target {
+    /// The profile to simulate.
+    fn device_profile(&self) -> Cow<'_, DeviceProfile>;
 }
 
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            simplify: true,
-            fusion: true,
-            coalescing: true,
-            tiling: true,
-            memplan: true,
-            check: true,
-        }
+impl Target for Device {
+    fn device_profile(&self) -> Cow<'_, DeviceProfile> {
+        Cow::Owned(self.profile())
     }
 }
 
-impl PipelineOptions {
-    /// A short label naming the enabled optimisations, e.g.
-    /// `"simplify+fusion"` or `"none"` (checking is not an optimisation
-    /// and is not named).
-    pub fn label(&self) -> String {
-        let mut parts = Vec::new();
-        if self.simplify {
-            parts.push("simplify");
-        }
-        if self.fusion {
-            parts.push("fusion");
-        }
-        if self.coalescing {
-            parts.push("coalescing");
-        }
-        if self.tiling {
-            parts.push("tiling");
-        }
-        if self.memplan {
-            parts.push("memplan");
-        }
-        if parts.is_empty() {
-            "none".to_string()
-        } else {
-            parts.join("+")
-        }
-    }
-
-    /// The equivalent [`Schedule`]: coarse switches map to pass switches
-    /// or class-wide site defaults. `PipelineOptions::default()` maps to
-    /// `Schedule::default()`.
-    pub fn to_schedule(&self) -> Schedule {
-        let mut s = Schedule {
-            simplify_pass: self.simplify,
-            fusion_pass: self.fusion,
-            memplan: self.memplan,
-            check: self.check,
-            ..Schedule::default()
-        };
-        if !self.coalescing {
-            s = s
-                .with_default(ChoiceClass::CoalesceInputs, false)
-                .with_default(ChoiceClass::CoalesceOutputs, false);
-        }
-        if !self.tiling {
-            s = s.with_default(ChoiceClass::Tile, false);
-        }
-        s
-    }
-
-    /// The ablation matrix used by the differential fuzzer and the Section
-    /// 6.1.1-style impact experiments: everything-on, everything-off, and
-    /// each optimisation switched off on its own. Checking stays on in
-    /// every configuration. Every member must produce bit-identical
-    /// results on every program the frontend accepts; the fuzzer treats
-    /// any difference as a bug.
-    pub fn ablation_matrix() -> Vec<PipelineOptions> {
-        let all = PipelineOptions::default();
-        vec![
-            all,
-            PipelineOptions {
-                simplify: false,
-                fusion: false,
-                coalescing: false,
-                tiling: false,
-                memplan: false,
-                ..all
-            },
-            PipelineOptions {
-                simplify: false,
-                ..all
-            },
-            PipelineOptions {
-                fusion: false,
-                ..all
-            },
-            PipelineOptions {
-                coalescing: false,
-                ..all
-            },
-            PipelineOptions {
-                tiling: false,
-                ..all
-            },
-            PipelineOptions {
-                memplan: false,
-                ..all
-            },
-        ]
+impl Target for &DeviceProfile {
+    fn device_profile(&self) -> Cow<'_, DeviceProfile> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -294,46 +189,32 @@ fn spanned<R>(
     }
 }
 
-/// The compiler driver.
+/// The compiler driver: a [`Schedule`] (every optimisation decision,
+/// from the Section 6.1.1 pass switches down to single choice sites) plus
+/// the pass-tracing flag.
 #[derive(Debug, Clone, Default)]
 pub struct Compiler {
-    opts: PipelineOptions,
-    sched: Option<Schedule>,
+    sched: Schedule,
     trace: bool,
 }
 
 impl Compiler {
-    /// A compiler with default options (everything on).
+    /// A compiler with the default schedule (everything on).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A compiler with explicit options.
-    pub fn with_options(opts: PipelineOptions) -> Self {
-        Compiler {
-            opts,
-            sched: None,
-            trace: false,
-        }
-    }
-
-    /// A compiler driven by an explicit [`Schedule`]. The schedule
-    /// subsumes [`PipelineOptions`]: every coarse switch and every
-    /// per-site decision comes from it.
+    /// A compiler driven by an explicit [`Schedule`].
     pub fn with_schedule(sched: Schedule) -> Self {
         Compiler {
-            opts: PipelineOptions::default(),
-            sched: Some(sched),
+            sched,
             trace: false,
         }
     }
 
-    /// The effective schedule: the explicit one if set, otherwise the
-    /// translation of the active [`PipelineOptions`].
-    pub fn schedule(&self) -> Schedule {
-        self.sched
-            .clone()
-            .unwrap_or_else(|| self.opts.to_schedule())
+    /// The schedule the pipeline answers its choice points from.
+    pub fn schedule(&self) -> &Schedule {
+        &self.sched
     }
 
     /// Enables pass-level tracing: compilation attaches a
@@ -348,11 +229,6 @@ impl Compiler {
     /// Whether pass-level tracing is enabled.
     pub fn trace_enabled(&self) -> bool {
         self.trace
-    }
-
-    /// The active options.
-    pub fn options(&self) -> &PipelineOptions {
-        &self.opts
     }
 
     /// Compiles source text through the full pipeline.
@@ -371,7 +247,7 @@ impl Compiler {
                 .unwrap_or_default();
             (res, after)
         })?;
-        if self.schedule().check {
+        if self.sched.check {
             let size = program_size(&prog);
             spanned(&mut report, "check", size, || {
                 (futhark_check::check_program(&prog), size)
@@ -396,7 +272,7 @@ impl Compiler {
         mut ns: NameSource,
         mut report: Option<CompileReport>,
     ) -> Result<Compiled, Error> {
-        let sched = self.schedule();
+        let sched = &self.sched;
         let mut cur = ScheduleCursor::new(sched.clone());
         // Provenance fill #1: give compiler-synthesised scaffolding from
         // elaboration a source line by inheritance, so the optimisation
@@ -460,7 +336,7 @@ impl Compiler {
             prog,
             plan,
             report,
-            schedule: sched,
+            schedule: sched.clone(),
             choice_counts: cur.observed_counts(),
         })
     }
@@ -485,116 +361,25 @@ pub struct Compiled {
 }
 
 impl Compiled {
-    /// Runs the program on a simulated device.
+    /// Runs the program on a simulated device — one of the paper's
+    /// [`Device`]s or a custom [`DeviceProfile`] such as a server's
+    /// per-device capacity model — with explicit [`RunOptions`]: host
+    /// thread count, profiled mode, and the group-execution engine
+    /// ([`SimEngine`]). Outputs and the aggregate [`PerfReport`] are
+    /// bit-identical across every option combination; profiling only adds
+    /// per-source-site counters ([`PerfReport::per_site`]).
     ///
     /// # Errors
     ///
     /// Returns an [`Error`] for runtime faults.
-    pub fn run(&self, device: Device, args: &[Value]) -> Result<(Vec<Value>, PerfReport), Error> {
-        let profile = device.profile();
-        let (vals, report) = exec::run(&self.plan, &self.prog, &profile, args)?;
-        Ok((vals, report))
-    }
-
-    /// Runs the program with an explicit host worker-thread count for the
-    /// simulator's parallel work-group execution (`1` forces sequential
-    /// execution). Results and the [`PerfReport`] are bit-identical across
-    /// thread counts by construction; this entry point exists so tests can
-    /// verify that.
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiled::run`].
-    pub fn run_with_threads(
-        &self,
-        device: Device,
-        args: &[Value],
-        threads: usize,
-    ) -> Result<(Vec<Value>, PerfReport), Error> {
-        let profile = device.profile();
-        let (vals, report) =
-            exec::run_with_threads(&self.plan, &self.prog, &profile, args, threads)?;
-        Ok((vals, report))
-    }
-
-    /// Runs the program in profiled execution mode: the returned
-    /// [`PerfReport`] additionally carries per-source-site counters
-    /// ([`PerfReport::per_site`], keyed by source line sets). Result
-    /// values and every aggregate counter are bit-identical to an
-    /// unprofiled [`Compiled::run`] — profiling only adds observability.
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiled::run`].
-    pub fn run_profiled(
-        &self,
-        device: Device,
-        args: &[Value],
-    ) -> Result<(Vec<Value>, PerfReport), Error> {
-        let profile = device.profile();
-        let (vals, report) = exec::run_with_opts(
-            &self.plan,
-            &self.prog,
-            &profile,
-            args,
-            exec::RunOptions {
-                profile: true,
-                ..exec::RunOptions::default()
-            },
-        )?;
-        Ok((vals, report))
-    }
-
-    /// Runs the program with explicit [`RunOptions`] — thread count,
-    /// profiled mode, and the group-execution engine ([`SimEngine`]).
-    /// Outputs and the [`PerfReport`] are bit-identical across every
-    /// option combination; this entry point exists so differential tests
-    /// can pin the warp engine against the per-lane reference engine.
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiled::run`].
     pub fn run_with_opts(
         &self,
-        device: Device,
+        device: impl Target,
         args: &[Value],
         opts: RunOptions,
     ) -> Result<(Vec<Value>, PerfReport), Error> {
-        let profile = device.profile();
-        let (vals, report) = exec::run_with_opts(&self.plan, &self.prog, &profile, args, opts)?;
-        Ok((vals, report))
-    }
-
-    /// Runs the program on a custom device profile with explicit
-    /// [`RunOptions`] — the entry point a multi-tenant server wants:
-    /// per-request thread count and engine (never process-global state)
-    /// against a per-device capacity model.
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiled::run`].
-    pub fn run_on_with_opts(
-        &self,
-        profile: &DeviceProfile,
-        args: &[Value],
-        opts: RunOptions,
-    ) -> Result<(Vec<Value>, PerfReport), Error> {
-        let (vals, report) = exec::run_with_opts(&self.plan, &self.prog, profile, args, opts)?;
-        Ok((vals, report))
-    }
-
-    /// Runs the program on a custom device profile.
-    ///
-    /// # Errors
-    ///
-    /// As [`Compiled::run`].
-    pub fn run_on(
-        &self,
-        profile: &DeviceProfile,
-        args: &[Value],
-    ) -> Result<(Vec<Value>, PerfReport), Error> {
-        let (vals, report) = exec::run(&self.plan, &self.prog, profile, args)?;
-        Ok((vals, report))
+        let profile = device.device_profile();
+        Ok(exec::run(&self.plan, &self.prog, &profile, args, opts)?)
     }
 
     /// Number of distinct kernels extracted.
@@ -661,7 +446,7 @@ mod tests {
     fn run_both(src: &str, args: &[Value]) -> (Vec<Value>, PerfReport) {
         let compiled = Compiler::new().compile(src).expect("compiles");
         let (gpu_out, perf) = compiled
-            .run(Device::Gtx780, args)
+            .run_with_opts(Device::Gtx780, args, RunOptions::default())
             .unwrap_or_else(|e| panic!("gpu run failed: {e}\n{}", compiled.prog));
         let interp_out = interpret(src, args).expect("interprets");
         assert_eq!(gpu_out.len(), interp_out.len());
@@ -744,14 +529,12 @@ mod tests {
             Value::Array(ArrayVal::new(vec![n, m], Buffer::F32(data))),
         ];
         let on = Compiler::new().compile(src).unwrap();
-        let off = Compiler::with_options(PipelineOptions {
-            coalescing: false,
-            ..PipelineOptions::default()
-        })
-        .compile(src)
-        .unwrap();
-        let (ro, po) = on.run(Device::Gtx780, &args).unwrap();
-        let (rf, pf) = off.run(Device::Gtx780, &args).unwrap();
+        let off = Compiler::with_schedule(Schedule::without(&["coalescing"]))
+            .compile(src)
+            .unwrap();
+        let run = |c: &Compiled| c.run_with_opts(Device::Gtx780, &args, RunOptions::default());
+        let (ro, po) = run(&on).unwrap();
+        let (rf, pf) = run(&off).unwrap();
         for (a, b) in ro.iter().zip(&rf) {
             assert!(a.approx_eq(b, 1e-4));
         }

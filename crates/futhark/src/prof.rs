@@ -318,7 +318,7 @@ fn site_lines(key: &str) -> Vec<usize> {
 /// therefore computed against the per-site total (each site counted
 /// once) and line shares can sum past 100% in heavily fused programs.
 ///
-/// Requires a profiled run ([`crate::Compiled::run_profiled`]); with an
+/// Requires a profiled run ([`crate::RunOptions::profile`]); with an
 /// empty `per_site` the listing carries a note instead of numbers.
 pub fn render_annotated(source: &str, run: &PerfReport) -> String {
     let mut out = String::from("== annotated source ==\n");

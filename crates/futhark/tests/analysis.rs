@@ -6,15 +6,27 @@
 //! degradation on traces that predate the analysis layer.
 
 use futhark::analyze::{analyze, AnalysisReport};
-use futhark::{prof, Compiled, Compiler, Device, Json, Limiter, PipelineOptions, TimelineEvent};
+use futhark::{
+    prof, Compiled, Compiler, Device, Json, Limiter, PerfReport, RunOptions, Schedule,
+    TimelineEvent,
+};
 use futhark_core::{ArrayVal, Buffer, Value};
 use futhark_gpu::sim::MemOp;
 
-fn compile(src: &str, opts: PipelineOptions) -> Compiled {
-    Compiler::with_options(opts)
+fn compile(src: &str, sched: Schedule) -> Compiled {
+    Compiler::with_schedule(sched)
         .with_trace()
         .compile(src)
         .expect("compiles")
+}
+
+/// Runs `c` on the GTX 780 profile with per-site profiling on.
+fn profiled_run(c: &Compiled, args: &[Value]) -> Result<(Vec<Value>, PerfReport), futhark::Error> {
+    let opts = RunOptions {
+        profile: true,
+        ..RunOptions::default()
+    };
+    c.run_with_opts(Device::Gtx780, args, opts)
 }
 
 /// The PR-4 acceptance program: row-sums over a [n][m] matrix. Without
@@ -34,18 +46,15 @@ fn rowsum_args(n: i64, m: i64) -> Vec<Value> {
     ]
 }
 
-fn run(src: &str, opts: PipelineOptions, args: &[Value]) -> futhark::PerfReport {
-    let (_, perf) = compile(src, opts)
-        .run_profiled(Device::Gtx780, args)
-        .expect("runs");
-    perf
+fn run(src: &str, sched: Schedule, args: &[Value]) -> futhark::PerfReport {
+    profiled_run(&compile(src, sched), args).expect("runs").1
 }
 
 // ---- time decomposition identities ----
 
 #[test]
 fn every_launch_decomposes_exactly_and_sums_over_the_timeline() {
-    let perf = run(ROWSUM, PipelineOptions::default(), &rowsum_args(64, 32));
+    let perf = run(ROWSUM, Schedule::default(), &rowsum_args(64, 32));
     let mut launches = 0;
     let mut kernel_us = 0.0;
     for e in &perf.timeline {
@@ -105,12 +114,8 @@ fn uncoalesced_rowsum_is_memory_limited_and_transposition_flips_it() {
     let args = rowsum_args(256, 64);
     let device = Device::Gtx780.profile();
 
-    let off = PipelineOptions {
-        coalescing: false,
-        ..Default::default()
-    };
-    let before = run(ROWSUM, off, &args);
-    let after = run(ROWSUM, PipelineOptions::default(), &args);
+    let before = run(ROWSUM, Schedule::without(&["coalescing"]), &args);
+    let after = run(ROWSUM, Schedule::default(), &args);
 
     let a_before = analyze(&before, &device);
     let a_after = analyze(&after, &device);
@@ -158,7 +163,7 @@ fn uncoalesced_rowsum_is_memory_limited_and_transposition_flips_it() {
 
 #[test]
 fn memory_timeline_balances_to_mem_stats_and_peaks_at_peak_bytes() {
-    let perf = run(ROWSUM, PipelineOptions::default(), &rowsum_args(64, 32));
+    let perf = run(ROWSUM, Schedule::default(), &rowsum_args(64, 32));
     let events: Vec<_> = perf.mem_events().cloned().collect();
     assert!(!events.is_empty(), "the run allocates device buffers");
 
@@ -196,7 +201,7 @@ fn memory_timeline_balances_to_mem_stats_and_peaks_at_peak_bytes() {
 
 #[test]
 fn modelled_time_attribution_splits_launch_busy_time_across_sites() {
-    let perf = run(ROWSUM, PipelineOptions::default(), &rowsum_args(64, 32));
+    let perf = run(ROWSUM, Schedule::default(), &rowsum_args(64, 32));
     assert!(!perf.per_site.is_empty(), "profiled run has sites");
     let attributed: f64 = perf.per_site.values().map(|s| s.modelled_us).sum();
     assert!(attributed > 0.0, "some busy time is attributed");
@@ -214,7 +219,7 @@ fn modelled_time_attribution_splits_launch_busy_time_across_sites() {
 
 #[test]
 fn analysis_of_a_real_run_round_trips_and_renders() {
-    let perf = run(ROWSUM, PipelineOptions::default(), &rowsum_args(64, 32));
+    let perf = run(ROWSUM, Schedule::default(), &rowsum_args(64, 32));
     let a = analyze(&perf, &Device::Gtx780.profile());
     assert_eq!(a.device, Device::Gtx780.profile().name);
     assert_eq!(a.peak_bytes, perf.mem.peak_bytes);
@@ -260,10 +265,8 @@ fn strip_new_fields(j: &Json) -> Json {
 
 #[test]
 fn pre_analysis_traces_still_load_and_diff_shows_na() {
-    let c = compile(ROWSUM, PipelineOptions::default());
-    let (_, perf) = c
-        .run_profiled(Device::Gtx780, &rowsum_args(64, 32))
-        .expect("runs");
+    let c = compile(ROWSUM, Schedule::default());
+    let (_, perf) = profiled_run(&c, &rowsum_args(64, 32)).expect("runs");
     let new_doc = prof::trace_json(c.report(), &perf);
     let old_doc = strip_new_fields(&new_doc);
 

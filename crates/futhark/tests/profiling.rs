@@ -3,17 +3,28 @@
 //! execution, the annotated/diff/Chrome renderers, and the JSON
 //! round-trips the archival formats rely on.
 
-use futhark::{prof, Compiled, Compiler, Device, Json, PipelineOptions, SiteStats};
+use futhark::{
+    prof, Compiled, Compiler, Device, Json, PerfReport, RunOptions, Schedule, SiteStats,
+};
 use futhark_core::{ArrayVal, Buffer, Value};
 use futhark_gpu::kernel::KStm;
 use futhark_gpu::KernelStats;
 use std::collections::BTreeMap;
 
-fn compile(src: &str, opts: PipelineOptions) -> Compiled {
-    Compiler::with_options(opts)
+fn compile(src: &str, sched: Schedule) -> Compiled {
+    Compiler::with_schedule(sched)
         .with_trace()
         .compile(src)
         .expect("compiles")
+}
+
+/// Runs `c` on the GTX 780 profile with per-site profiling on.
+fn profiled_run(c: &Compiled, args: &[Value]) -> Result<(Vec<Value>, PerfReport), futhark::Error> {
+    let opts = RunOptions {
+        profile: true,
+        ..RunOptions::default()
+    };
+    c.run_with_opts(Device::Gtx780, args, opts)
 }
 
 // ---- provenance preservation ----
@@ -79,7 +90,7 @@ fn every_kernel_opcode_carries_provenance_after_full_optimisation() {
          in out",
     ];
     for src in programs {
-        let c = compile(src, PipelineOptions::default());
+        let c = compile(src, Schedule::default());
         assert!(c.plan.kernel_count() > 0, "expected kernels for {src:?}");
         for k in &c.plan.kernels {
             check_covered(k, &k.body, false);
@@ -96,7 +107,7 @@ fn map_map_fusion_unions_the_two_source_sites() {
                let a = map (\\x -> x + 1.0f32) xs\n\
                let b = map (\\x -> x * 2.0f32) a\n\
                in b";
-    let c = compile(src, PipelineOptions::default());
+    let c = compile(src, Schedule::default());
     assert!(
         c.report()
             .map(|r| r.counter("fusion.vertical"))
@@ -148,20 +159,10 @@ fn annotate_attributes_uncoalesced_traffic_to_the_offending_line() {
             Buffer::F32((0..n * m).map(|i| (i % 7) as f32).collect()),
         )),
     ];
-    let uncoalesced = compile(
-        src,
-        PipelineOptions {
-            coalescing: false,
-            ..PipelineOptions::default()
-        },
-    );
-    let (vals_u, perf_u) = uncoalesced
-        .run_profiled(Device::Gtx780, &args)
-        .expect("uncoalesced run");
-    let coalesced = compile(src, PipelineOptions::default());
-    let (vals_c, perf_c) = coalesced
-        .run_profiled(Device::Gtx780, &args)
-        .expect("coalesced run");
+    let uncoalesced = compile(src, Schedule::without(&["coalescing"]));
+    let (vals_u, perf_u) = profiled_run(&uncoalesced, &args).expect("uncoalesced run");
+    let coalesced = compile(src, Schedule::default());
+    let (vals_c, perf_c) = profiled_run(&coalesced, &args).expect("coalesced run");
     assert_eq!(vals_u, vals_c, "coalescing must not change results");
 
     let total_u = total_tx(&perf_u.per_site);
@@ -227,9 +228,11 @@ fn profiled_execution_is_a_pure_observer() {
             Buffer::F32((0..512).map(|i| i as f32).collect()),
         )),
     ];
-    let c = compile(src, PipelineOptions::default());
-    let (plain_vals, plain) = c.run(Device::Gtx780, &args).expect("plain run");
-    let (prof_vals, profiled) = c.run_profiled(Device::Gtx780, &args).expect("profiled run");
+    let c = compile(src, Schedule::default());
+    let (plain_vals, plain) = c
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .expect("plain run");
+    let (prof_vals, profiled) = profiled_run(&c, &args).expect("profiled run");
     assert_eq!(plain_vals, prof_vals);
     assert_eq!(plain.stats, profiled.stats, "aggregate counters unchanged");
     assert_eq!(plain.launches, profiled.launches);
@@ -261,20 +264,17 @@ fn profiled_runs_are_deterministic_across_repeats() {
         Value::i64(1024),
         Value::Array(ArrayVal::from_f32s((0..1024).map(|i| i as f32).collect())),
     ];
-    let run = |opts: PipelineOptions| -> futhark::PerfReport {
-        let c = compile(src, opts);
-        c.run_profiled(Device::Gtx780, &args).expect("runs").1
+    let run = |sched: Schedule| -> futhark::PerfReport {
+        let c = compile(src, sched);
+        profiled_run(&c, &args).expect("runs").1
     };
-    let a = run(PipelineOptions::default());
-    let b = run(PipelineOptions::default());
+    let a = run(Schedule::default());
+    let b = run(Schedule::default());
     assert_eq!(a.launches, b.launches);
     assert_eq!(a.per_kernel, b.per_kernel);
     assert_eq!(a.per_site, b.per_site);
     assert!(prof::diff_runs(&a, &b).is_clean());
-    let nofuse = run(PipelineOptions {
-        fusion: false,
-        ..PipelineOptions::default()
-    });
+    let nofuse = run(Schedule::without(&["fusion"]));
     let d = prof::diff_runs(&a, &nofuse);
     assert!(!d.is_clean(), "fusion off must drift");
     assert!(
@@ -294,8 +294,10 @@ fn chrome_trace_covers_the_whole_timeline() {
         Value::i64(256),
         Value::Array(ArrayVal::from_f32s(vec![1.0; 256])),
     ];
-    let c = compile(src, PipelineOptions::default());
-    let (_, perf) = c.run(Device::Gtx780, &args).expect("runs");
+    let c = compile(src, Schedule::default());
+    let (_, perf) = c
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .expect("runs");
     let doc = prof::chrome_trace(c.report(), &perf);
     assert_eq!(doc.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -405,8 +407,8 @@ fn full_trace_document_round_trips_through_text() {
             Buffer::F32((0..128).map(|i| i as f32).collect()),
         )),
     ];
-    let c = compile(src, PipelineOptions::default());
-    let (_, perf) = c.run_profiled(Device::Gtx780, &args).expect("runs");
+    let c = compile(src, Schedule::default());
+    let (_, perf) = profiled_run(&c, &args).expect("runs");
     assert!(!perf.per_site.is_empty(), "profiled run populates per_site");
     let text = prof::trace_json(c.report(), &perf).render_pretty();
     let (compile_back, run_back) =

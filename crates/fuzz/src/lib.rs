@@ -29,6 +29,7 @@ pub use oracle::{
 };
 pub use shrink::{shrink, ShrinkStats};
 
+use futhark::RunOptions;
 use futhark_trace::Json;
 use std::path::{Path, PathBuf};
 
@@ -44,15 +45,21 @@ pub fn case_seed(campaign_seed: u64, index: u64) -> u64 {
 }
 
 /// Runs the differential oracle on one generated case.
-pub fn check_case(case: &TestCase) -> Outcome {
-    oracle::check_source(&case.source(), &case.args())
+pub fn check_case(case: &TestCase, run: RunOptions) -> Outcome {
+    oracle::check_source(&case.source(), &case.args(), run)
 }
 
 /// Runs the differential oracle plus `schedules` random-schedule
-/// configurations on one generated case. The schedule PRNG is seeded by
-/// `sched_seed` (the per-case seed in a campaign), so failures replay.
-pub fn check_case_with_schedules(case: &TestCase, sched_seed: u64, schedules: u32) -> Outcome {
-    oracle::check_source_with_schedules(&case.source(), &case.args(), sched_seed, schedules)
+/// configurations on one generated case, executing with `run`. The
+/// schedule PRNG is seeded by `sched_seed` (the per-case seed in a
+/// campaign), so failures replay.
+pub fn check_case_with_schedules(
+    case: &TestCase,
+    run: RunOptions,
+    sched_seed: u64,
+    schedules: u32,
+) -> Outcome {
+    oracle::check_source_with_schedules(&case.source(), &case.args(), run, sched_seed, schedules)
 }
 
 /// Campaign parameters.
@@ -71,6 +78,9 @@ pub struct CampaignConfig {
     /// Random valid schedules checked per case (on top of the ablation
     /// matrix), each run on both devices against the interpreter.
     pub schedules: u32,
+    /// The session's execution options: host threads and the engine every
+    /// configuration runs on (the warp-vs-lane stage checks the other).
+    pub run: RunOptions,
 }
 
 impl Default for CampaignConfig {
@@ -82,6 +92,7 @@ impl Default for CampaignConfig {
             shrink_attempts: 400,
             corpus_dir: None,
             schedules: 2,
+            run: RunOptions::default(),
         }
     }
 }
@@ -191,7 +202,7 @@ pub fn run_campaign(
     for i in 0..cfg.cases {
         let cs = case_seed(cfg.seed, i);
         let case = generate(cs, &cfg.gen);
-        let outcome = check_case_with_schedules(&case, cs, cfg.schedules);
+        let outcome = check_case_with_schedules(&case, cfg.run, cs, cfg.schedules);
         progress(i, &outcome);
         match &outcome {
             Outcome::Clean => report.clean += 1,
@@ -203,13 +214,14 @@ pub fn run_campaign(
                 let (shrunk, _) = shrink(
                     &case,
                     &mut |c: &TestCase| {
-                        check_case_with_schedules(c, cs, cfg.schedules).is_failure()
+                        check_case_with_schedules(c, cfg.run, cs, cfg.schedules).is_failure()
                     },
                     cfg.shrink_attempts,
                 );
-                let shrunk_divergence = check_case_with_schedules(&shrunk, cs, cfg.schedules)
-                    .describe()
-                    .unwrap_or_default();
+                let shrunk_divergence =
+                    check_case_with_schedules(&shrunk, cfg.run, cs, cfg.schedules)
+                        .describe()
+                        .unwrap_or_default();
                 let mut failure = Failure {
                     index: i,
                     case_seed: cs,

@@ -8,9 +8,7 @@
 //! in an optimisation pass, in the code generator, or in the semantics the
 //! interpreter and simulator are supposed to share.
 
-use futhark::{
-    interpret, sim_engine, Compiler, Device, PipelineOptions, RunOptions, Schedule, SimEngine,
-};
+use futhark::{interpret, Compiler, Device, RunOptions, Schedule, SimEngine};
 use futhark_core::{Rng64, Value};
 
 /// The two simulated devices, with stable labels for reports.
@@ -47,7 +45,8 @@ pub enum DivergenceKind {
 /// One observed disagreement.
 #[derive(Debug, Clone)]
 pub struct Divergence {
-    /// The [`PipelineOptions::label`] of the failing configuration.
+    /// The name of the failing configuration: its
+    /// [`Schedule::ablation_matrix`] corner, or `sched:` and its label.
     pub config: String,
     /// The device label, when execution got that far.
     pub device: Option<String>,
@@ -146,19 +145,23 @@ fn check_profiled_run(
     device: Device,
     dlabel: &str,
     args: &[Value],
-    unprofiled: &[Value],
-    perf: &futhark::PerfReport,
-    opts: PipelineOptions,
+    (unprofiled, perf): (&[Value], &futhark::PerfReport),
+    run: RunOptions,
+    config: &str,
 ) -> Option<Divergence> {
     let diverge = |detail: String| {
         Some(Divergence {
-            config: format!("{}+profile", opts.label()),
+            config: format!("{config}+profile"),
             device: Some(dlabel.to_string()),
             kind: DivergenceKind::ProfilePerturbation,
             detail,
         })
     };
-    match compiled.run_profiled(device, args) {
+    let profiled = RunOptions {
+        profile: true,
+        ..run
+    };
+    match compiled.run_with_opts(device, args, profiled) {
         Ok((got, pperf)) => {
             if let Some(detail) = compare(unprofiled, &got) {
                 return diverge(detail);
@@ -180,7 +183,7 @@ fn check_profiled_run(
             }
             if let Some(detail) = check_analysis(device, perf, &pperf) {
                 return Some(Divergence {
-                    config: format!("{}+analyze", opts.label()),
+                    config: format!("{config}+analyze"),
                     device: Some(dlabel.to_string()),
                     kind: DivergenceKind::AnalysisPerturbation,
                     detail,
@@ -193,7 +196,7 @@ fn check_profiled_run(
 }
 
 /// Re-runs the program on the *other* group-execution engine (per-lane
-/// when the session default is warp, and vice versa) and demands
+/// when the session's engine is warp, and vice versa) and demands
 /// bit-identical outputs — or the identical error — and identical
 /// aggregate [`futhark::PerfReport`] counters. The warp engine is a pure
 /// execution-strategy change; any observable difference is a bug in its
@@ -204,15 +207,16 @@ fn check_warp_vs_lane(
     dlabel: &str,
     args: &[Value],
     default_run: &Result<(Vec<Value>, futhark::PerfReport), String>,
-    opts: PipelineOptions,
+    run: RunOptions,
+    config: &str,
 ) -> Option<Divergence> {
-    let (this, other) = match sim_engine() {
+    let (this, other) = match run.engine {
         SimEngine::Warp => ("warp", SimEngine::Lane),
         SimEngine::Lane => ("lane", SimEngine::Warp),
     };
     let diverge = |detail: String| {
         Some(Divergence {
-            config: format!("{}+engine", opts.label()),
+            config: format!("{config}+engine"),
             device: Some(dlabel.to_string()),
             kind: DivergenceKind::WarpExecution,
             detail,
@@ -220,7 +224,7 @@ fn check_warp_vs_lane(
     };
     let ropts = RunOptions {
         engine: other,
-        ..RunOptions::default()
+        ..run
     };
     let other_run = compiled
         .run_with_opts(device, args, ropts)
@@ -341,7 +345,7 @@ fn check_analysis(
 
 /// The schedule-sampling stage: compiles the program under `n` random
 /// valid schedules (drawn from a [`Rng64`] seeded by `seed`) and runs
-/// each on both devices, demanding bit-identical agreement with the
+/// each on both devices with `run`, demanding bit-identical agreement with the
 /// reference interpreter. Schedules are valid by construction — a
 /// declined choice site falls back to sequential code — so *any*
 /// disagreement is a pipeline bug, exactly as for the ablation matrix.
@@ -349,6 +353,7 @@ pub fn check_schedules(
     src: &str,
     args: &[Value],
     reference: &[Value],
+    run: RunOptions,
     seed: u64,
     n: u32,
 ) -> Option<Divergence> {
@@ -368,7 +373,7 @@ pub fn check_schedules(
             }
         };
         for (device, dlabel) in devices() {
-            match compiled.run(device, args) {
+            match compiled.run_with_opts(device, args, run) {
                 Ok((got, _)) => {
                     if let Some(detail) = compare(reference, &got) {
                         return Some(Divergence {
@@ -397,16 +402,17 @@ pub fn check_schedules(
 pub fn check_source_with_schedules(
     src: &str,
     args: &[Value],
+    run: RunOptions,
     sched_seed: u64,
     schedules: u32,
 ) -> Outcome {
-    match check_source(src, args) {
+    match check_source(src, args, run) {
         Outcome::Clean if schedules > 0 => {
             let reference = match interpret(src, args) {
                 Ok(v) => v,
                 Err(e) => return Outcome::InterpError(e.to_string()),
             };
-            match check_schedules(src, args, &reference, sched_seed, schedules) {
+            match check_schedules(src, args, &reference, run, sched_seed, schedules) {
                 None => Outcome::Clean,
                 Some(d) => Outcome::Diverged(d),
             }
@@ -415,18 +421,21 @@ pub fn check_source_with_schedules(
     }
 }
 
-/// Runs the full differential check on one program.
-pub fn check_source(src: &str, args: &[Value]) -> Outcome {
+/// Runs the full differential check on one program. `run` is the
+/// session's execution options (host threads and engine); the warp-vs-lane
+/// stage cross-checks against the other engine.
+pub fn check_source(src: &str, args: &[Value], run: RunOptions) -> Outcome {
     let reference = match interpret(src, args) {
         Ok(v) => v,
         Err(e) => return Outcome::InterpError(e.to_string()),
     };
-    for opts in PipelineOptions::ablation_matrix() {
-        let compiled = match Compiler::with_options(opts).compile(src) {
+    for (config, sched) in Schedule::ablation_matrix() {
+        let is_default = sched.is_default();
+        let compiled = match Compiler::with_schedule(sched).compile(src) {
             Ok(c) => c,
             Err(e) => {
                 return Outcome::Diverged(Divergence {
-                    config: opts.label(),
+                    config,
                     device: None,
                     kind: DivergenceKind::CompileError,
                     detail: e.to_string(),
@@ -434,21 +443,25 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
             }
         };
         for (device, dlabel) in devices() {
-            let run = compiled.run(device, args).map_err(|e| e.to_string());
+            let result = compiled
+                .run_with_opts(device, args, run)
+                .map_err(|e| e.to_string());
             // The warp and per-lane engines must be observationally
             // indistinguishable: on the default configuration, re-run on
             // the other engine and demand identical outputs (or the
             // identical fault) and identical aggregate counters.
-            if opts == PipelineOptions::default() {
-                if let Some(d) = check_warp_vs_lane(&compiled, device, dlabel, args, &run, opts) {
+            if is_default {
+                if let Some(d) =
+                    check_warp_vs_lane(&compiled, device, dlabel, args, &result, run, &config)
+                {
                     return Outcome::Diverged(d);
                 }
             }
-            match run {
+            match result {
                 Ok((got, perf)) => {
                     if let Some(detail) = compare(&reference, &got) {
                         return Outcome::Diverged(Divergence {
-                            config: opts.label(),
+                            config,
                             device: Some(dlabel.to_string()),
                             kind: DivergenceKind::Mismatch,
                             detail,
@@ -458,17 +471,23 @@ pub fn check_source(src: &str, args: &[Value]) -> Outcome {
                     // default configuration, re-run with per-site
                     // profiling on and demand bit-identical outputs and
                     // identical aggregate cost counters.
-                    if opts == PipelineOptions::default() {
-                        if let Some(d) =
-                            check_profiled_run(&compiled, device, dlabel, args, &got, &perf, opts)
-                        {
+                    if is_default {
+                        if let Some(d) = check_profiled_run(
+                            &compiled,
+                            device,
+                            dlabel,
+                            args,
+                            (&got, &perf),
+                            run,
+                            &config,
+                        ) {
                             return Outcome::Diverged(d);
                         }
                     }
                 }
                 Err(e) => {
                     return Outcome::Diverged(Divergence {
-                        config: opts.label(),
+                        config,
                         device: Some(dlabel.to_string()),
                         kind: DivergenceKind::RunError,
                         detail: e,
@@ -497,12 +516,15 @@ mod tests {
 
     #[test]
     fn clean_program_is_clean() {
-        assert!(matches!(check_source(DOUBLE, &args()), Outcome::Clean));
+        assert!(matches!(
+            check_source(DOUBLE, &args(), RunOptions::default()),
+            Outcome::Clean
+        ));
     }
 
     #[test]
     fn unparseable_program_reports_interp_error() {
-        match check_source("fun main (): i64 = oops", &args()) {
+        match check_source("fun main (): i64 = oops", &args(), RunOptions::default()) {
             Outcome::InterpError(_) => {}
             other => panic!("expected InterpError, got {other:?}"),
         }

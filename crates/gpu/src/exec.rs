@@ -15,7 +15,7 @@ use crate::sim::{
     self, Arg, BufId, DeviceMemory, KernelStats, Limiter, MemEvent, MemOp, MemStats, SimError,
     SiteStats, TimeBreakdown,
 };
-use crate::tape::{host_threads, sim_engine, DecodedKernel, LaunchOpts, SimEngine};
+use crate::tape::{DecodedKernel, SimEngine};
 use futhark_core::traverse::{free_in_exp, free_in_lambda};
 use futhark_core::{
     ArrayVal, Buffer, Exp, Name, PatElem, Program, Scalar, ScalarType, Size, SubExp, Type, Value,
@@ -492,57 +492,12 @@ impl From<InterpError> for ExecError {
 
 type EResult<T> = Result<T, ExecError>;
 
-/// Runs a compiled plan on the given device profile.
+/// Execution-time options for [`run`] and every kernel launch it makes.
 ///
-/// `prog` is the original (flattened) program: interpreter fallbacks and
-/// host-side combines evaluate fragments of it.
-///
-/// # Errors
-///
-/// Returns an [`ExecError`] on simulator faults or malformed plans.
-pub fn run(
-    plan: &GpuPlan,
-    prog: &Program,
-    device: &DeviceProfile,
-    args: &[Value],
-) -> EResult<(Vec<Value>, PerfReport)> {
-    run_with_threads(plan, prog, device, args, host_threads())
-}
-
-/// Like [`run`], with an explicit host worker-thread count for parallel
-/// work-group execution (`1` forces sequential execution). Results and the
-/// [`PerfReport`] are bit-identical across thread counts by construction.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with_threads(
-    plan: &GpuPlan,
-    prog: &Program,
-    device: &DeviceProfile,
-    args: &[Value],
-    threads: usize,
-) -> EResult<(Vec<Value>, PerfReport)> {
-    run_with_opts(
-        plan,
-        prog,
-        device,
-        args,
-        RunOptions {
-            threads,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Execution-time options for [`run_with_opts`].
-///
-/// The default reads the environment-derived settings ([`host_threads`],
-/// [`sim_engine`]) at construction time, as a default-only fallback:
-/// explicit fields always win, per request — nothing is latched
-/// process-wide, so a long-lived server honours each job's own engine and
-/// thread-count settings. Differential comparisons that must hold two runs
-/// to one configuration should build one `RunOptions` and reuse it.
+/// The default is the machine's available parallelism, the warp engine,
+/// and no profiling. The library never reads the environment: each run
+/// gets exactly the options it is given, so a long-lived server honours
+/// every job's own engine and thread-count settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
     /// Host worker threads for parallel group execution (`1` = sequential).
@@ -562,20 +517,23 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            threads: host_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             profile: false,
-            engine: sim_engine(),
+            engine: SimEngine::Warp,
         }
     }
 }
 
-/// Like [`run`], with full control over execution options (worker threads,
-/// source-site profiling).
+/// Runs a compiled plan on the given device profile with the given
+/// execution options (worker threads, engine, source-site profiling).
+///
+/// `prog` is the original (flattened) program: interpreter fallbacks and
+/// host-side combines evaluate fragments of it.
 ///
 /// # Errors
 ///
-/// As [`run`].
-pub fn run_with_opts(
+/// Returns an [`ExecError`] on simulator faults or malformed plans.
+pub fn run(
     plan: &GpuPlan,
     prog: &Program,
     device: &DeviceProfile,
@@ -598,9 +556,10 @@ pub fn run_with_opts(
         decoded: vec![None; plan.kernels.len()],
         kernel_sites: vec![None; plan.kernels.len()],
         buf_sites: HashMap::new(),
-        threads: opts.threads.max(1),
-        profile: opts.profile,
-        engine: opts.engine,
+        opts: RunOptions {
+            threads: opts.threads.max(1),
+            ..opts
+        },
         hoisted: 0,
         steals: 0,
         loop_watermarks: Vec::new(),
@@ -663,12 +622,8 @@ struct Executor<'a> {
     /// The source site each live buffer was last allocated (or stolen)
     /// at — frees look their attribution up here.
     buf_sites: HashMap<BufId, String>,
-    /// Host worker threads used for parallel group execution.
-    threads: usize,
-    /// Whether launches collect per-source-site counters.
-    profile: bool,
-    /// The group-execution engine for kernel launches.
-    engine: SimEngine,
+    /// Options every kernel launch runs with.
+    opts: RunOptions,
     /// Hoisted-destination writes performed (planner `write_into` hits).
     hoisted: u64,
     /// In-place buffer steals performed (planner `steal` verdicts that
@@ -1565,22 +1520,17 @@ impl<'a> Executor<'a> {
             self.decoded[spec.kernel] = Some(DecodedKernel::decode(kernel)?);
         }
         let dk = self.decoded[spec.kernel].as_ref().expect("just decoded");
-        let opts = LaunchOpts {
-            threads: self.threads,
-            profile: self.profile,
-            engine: self.engine,
-        };
-        let out = crate::tape::launch_decoded_with(
+        let out = crate::tape::launch_decoded(
             self.device,
             dk,
             num_threads,
             &args,
             &mut self.mem,
-            opts,
+            self.opts,
         )?;
         self.report.uniform_hits += out.uniform_hits;
         self.report.uniform_misses += out.uniform_misses;
-        let stats = if self.profile {
+        let stats = if self.opts.profile {
             let stats = out.stats;
             let sites = out.sites.expect("profiled launch returns sites");
             // Modelled-time attribution: the launch's busy time (total

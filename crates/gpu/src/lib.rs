@@ -13,12 +13,10 @@ pub mod sim;
 pub mod tape;
 
 pub use device::DeviceProfile;
+pub use exec::RunOptions;
 pub use memplan::{plan_memory, predict_peak_bytes, PeakPrediction};
 pub use sim::{
     kernel_time_breakdown, kernel_time_us, Arg, BufId, DeviceMemory, KernelStats, Limiter,
     MemEvent, MemOp, MemStats, SimError, SiteStats, TimeBreakdown,
 };
-pub use tape::{
-    host_threads, launch_decoded, launch_decoded_profiled, launch_decoded_with, sim_engine,
-    DecodedKernel, LaunchOpts, LaunchOut, SimEngine,
-};
+pub use tape::{launch_decoded, DecodedKernel, LaunchOut, SimEngine};

@@ -15,8 +15,6 @@
 //! - local-memory accesses and barriers.
 
 use crate::device::DeviceProfile;
-use crate::kernel::Kernel;
-use crate::tape::{host_threads, launch_decoded, DecodedKernel};
 use futhark_core::{Buffer, Scalar, ScalarType};
 use std::collections::HashMap;
 use std::fmt;
@@ -810,30 +808,6 @@ impl std::error::Error for SimError {}
 
 type SResult<T> = Result<T, SimError>;
 
-/// Launches a kernel over `num_threads` threads and returns the accumulated
-/// stats. Buffers are read and written in `mem`.
-///
-/// Decodes the kernel on the fly and executes its work-groups on
-/// [`host_threads`] host threads (set `FUTHARK_SIM_THREADS` to override).
-/// Callers that launch the same kernel repeatedly should decode once with
-/// [`DecodedKernel::decode`] and call [`launch_decoded`] directly, as the
-/// plan executor does.
-///
-/// # Errors
-///
-/// Returns a [`SimError`] on faults (bounds, divergent barriers, runaway
-/// loops, negative local-memory sizes).
-pub fn launch(
-    device: &DeviceProfile,
-    kernel: &Kernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-) -> SResult<KernelStats> {
-    let dk = DecodedKernel::decode(kernel)?;
-    launch_decoded(device, &dk, num_threads, args, mem, host_threads())
-}
-
 /// Timing model decomposition: the overhead and the three throughput
 /// components for one launch with the given stats. The modelled launch
 /// time is [`TimeBreakdown::total_us`].
@@ -855,7 +829,21 @@ pub fn kernel_time_us(device: &DeviceProfile, stats: &KernelStats) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::RunOptions;
     use crate::kernel::*;
+    use crate::tape::{launch_decoded, DecodedKernel};
+
+    /// Decodes and launches `kernel` with default options.
+    fn launch(
+        device: &DeviceProfile,
+        kernel: &Kernel,
+        num_threads: u64,
+        args: &[Arg],
+        mem: &mut DeviceMemory,
+    ) -> SResult<KernelStats> {
+        let dk = DecodedKernel::decode(kernel)?;
+        launch_decoded(device, &dk, num_threads, args, mem, RunOptions::default()).map(|o| o.stats)
+    }
 
     fn vecadd_kernel(stride: i64) -> Kernel {
         // out[i] = a[idx] + b[idx] with idx = i*stride (stride 1 coalesced).

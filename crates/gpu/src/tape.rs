@@ -54,6 +54,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::device::DeviceProfile;
+use crate::exec::RunOptions;
 use crate::kernel::{KExp, KParam, KStm, Kernel};
 use crate::sim::{Arg, BufId, DeviceMemory, KernelStats, SimError, SiteStats};
 use futhark_core::{BinOp, Buffer, CmpOp, Prov, Scalar, ScalarType, UnOp};
@@ -2711,28 +2712,6 @@ fn eval_uniform(e: &KExp, group_size: u64, scalars: &[Option<Scalar>]) -> SResul
     }
 }
 
-/// The default number of host threads for group execution: the
-/// `FUTHARK_SIM_THREADS` environment variable if set (minimum 1), else the
-/// machine's available parallelism. Read from the environment on every
-/// call — this is a *default-only fallback*, consulted when building
-/// [`LaunchOpts`]/`RunOptions` defaults; explicit per-request overrides
-/// always win. (It used to be latched in a `OnceLock`, which pinned the
-/// first caller's snapshot for the life of the process — fatal in a
-/// long-lived daemon serving requests with differing settings.)
-pub fn host_threads() -> usize {
-    match std::env::var("FUTHARK_SIM_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
 /// Which execution engine runs a group's statement list. Both compute the
 /// same function with bit-identical outputs, errors, and counters; the
 /// warp engine is the fast default, the per-lane engine the independent
@@ -2747,42 +2726,6 @@ pub enum SimEngine {
     /// The original engine: each lane evaluates postfix tapes on its own
     /// bit-stack.
     Lane,
-}
-
-/// The default engine selected by the `FUTHARK_SIM_ENGINE` environment
-/// variable (`lane` for the per-lane reference engine, anything else —
-/// including unset — for the warp engine). Read from the environment on
-/// every call: a default-only fallback for [`LaunchOpts`]/`RunOptions`
-/// construction, never a latched snapshot, so per-request engine overrides
-/// in a long-lived server take effect launch by launch.
-pub fn sim_engine() -> SimEngine {
-    match std::env::var("FUTHARK_SIM_ENGINE") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("lane") => SimEngine::Lane,
-        _ => SimEngine::Warp,
-    }
-}
-
-/// Per-launch options for [`launch_decoded_with`]. The default reads the
-/// environment-derived settings ([`host_threads`], [`sim_engine`]) at
-/// construction time; explicit fields always override the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchOpts {
-    /// Host threads executing independent work-groups.
-    pub threads: usize,
-    /// Whether to bucket counters by source site.
-    pub profile: bool,
-    /// Which execution engine to use.
-    pub engine: SimEngine,
-}
-
-impl Default for LaunchOpts {
-    fn default() -> Self {
-        LaunchOpts {
-            threads: host_threads(),
-            profile: false,
-            engine: sim_engine(),
-        }
-    }
 }
 
 /// Everything one launch produced: the aggregate counters, per-site
@@ -2811,10 +2754,14 @@ pub struct LaunchOut {
 const PAR_MIN_GROUPS: u64 = 2;
 
 /// Launches a pre-decoded kernel over `num_threads` threads, executing
-/// independent work-groups on up to `threads` host threads. Results —
-/// device memory, the returned [`KernelStats`], and any error — are
-/// bit-identical for every value of `threads` (see the module docs for the
-/// memory model that guarantees this).
+/// independent work-groups on up to `opts.threads` host threads on the
+/// `opts.engine` engine, and bucketing counters by source site (the
+/// decoded kernel's provenance table; the extra final slot is the
+/// unattributed bucket) when `opts.profile` is set. Results — device
+/// memory, the returned [`KernelStats`], and any error — are bit-identical
+/// for every thread count, engine, and profiling setting (see the module
+/// docs for the memory model that guarantees this; per-site counters are
+/// accumulated separately and never feed back into execution).
 ///
 /// # Errors
 ///
@@ -2828,93 +2775,13 @@ pub fn launch_decoded(
     num_threads: u64,
     args: &[Arg],
     mem: &mut DeviceMemory,
-    threads: usize,
-) -> SResult<KernelStats> {
-    launch_decoded_impl(
-        device,
-        dk,
-        num_threads,
-        args,
-        mem,
-        threads,
-        false,
-        sim_engine(),
-    )
-    .map(|out| out.stats)
-}
-
-/// Launches a pre-decoded kernel with explicit [`LaunchOpts`] — the one
-/// entry point that exposes engine selection programmatically. Outputs,
-/// errors, and counters are bit-identical across engines, thread counts,
-/// and profiling.
-///
-/// # Errors
-///
-/// Exactly as [`launch_decoded`].
-pub fn launch_decoded_with(
-    device: &DeviceProfile,
-    dk: &DecodedKernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-    opts: LaunchOpts,
+    opts: RunOptions,
 ) -> SResult<LaunchOut> {
-    launch_decoded_impl(
-        device,
-        dk,
-        num_threads,
-        args,
-        mem,
-        opts.threads,
-        opts.profile,
-        opts.engine,
-    )
-}
-
-/// Like [`launch_decoded`], but additionally buckets counters by source
-/// site (the decoded kernel's provenance table; the extra final slot is
-/// the unattributed bucket). The returned [`KernelStats`] are bit-identical
-/// to an unprofiled launch of the same kernel: the per-site counters are
-/// accumulated separately and never feed back into execution.
-///
-/// # Errors
-///
-/// Exactly as [`launch_decoded`].
-pub fn launch_decoded_profiled(
-    device: &DeviceProfile,
-    dk: &DecodedKernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-    threads: usize,
-) -> SResult<(KernelStats, Vec<SiteStats>)> {
-    launch_decoded_impl(
-        device,
-        dk,
-        num_threads,
-        args,
-        mem,
+    let RunOptions {
         threads,
-        true,
-        sim_engine(),
-    )
-    .map(|out| {
-        let sites = out.sites.expect("profiled launch returns sites");
-        (out.stats, sites)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn launch_decoded_impl(
-    device: &DeviceProfile,
-    dk: &DecodedKernel,
-    num_threads: u64,
-    args: &[Arg],
-    mem: &mut DeviceMemory,
-    threads: usize,
-    profile: bool,
-    engine: SimEngine,
-) -> SResult<LaunchOut> {
+        profile,
+        engine,
+    } = opts;
     let group_size = device.group_size as u64;
     let num_groups = num_threads.div_ceil(group_size).max(1);
     // Resolve launch arguments once.
@@ -3069,6 +2936,14 @@ fn launch_decoded_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Launch options with `threads` host threads, defaults otherwise.
+    fn on_threads(threads: usize) -> RunOptions {
+        RunOptions {
+            threads,
+            ..RunOptions::default()
+        }
+    }
     use crate::kernel::{KParam, KStm};
 
     fn square_kernel() -> Kernel {
@@ -3181,9 +3056,10 @@ mod tests {
                 n as u64,
                 &[Arg::Buffer(a), Arg::Buffer(out)],
                 &mut mem,
-                threads,
+                on_threads(threads),
             )
-            .unwrap();
+            .unwrap()
+            .stats;
             (stats, mem.download(out).unwrap().clone())
         };
         let (seq_stats, seq_out) = run(1);
@@ -3217,7 +3093,15 @@ mod tests {
         for threads in [1, 2, 4] {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, 1).unwrap();
-            launch_decoded(&dev, &dk, n, &[Arg::Buffer(out)], &mut mem, threads).unwrap();
+            launch_decoded(
+                &dev,
+                &dk,
+                n,
+                &[Arg::Buffer(out)],
+                &mut mem,
+                on_threads(threads),
+            )
+            .unwrap();
             let Buffer::I64(v) = mem.download(out).unwrap() else {
                 panic!()
             };
@@ -3266,7 +3150,7 @@ mod tests {
                 2 * gs as u64,
                 &[Arg::Buffer(out)],
                 &mut mem,
-                threads,
+                on_threads(threads),
             )
             .unwrap_err();
             assert!(matches!(e, SimError::OutOfBounds { .. }), "at {threads}");
@@ -3316,7 +3200,7 @@ mod tests {
             16,
             &[Arg::Buffer(a), Arg::Buffer(out)],
             &mut mem,
-            1,
+            on_threads(1),
         )
         .unwrap();
         let Buffer::I64(v) = mem.download(out).unwrap() else {
@@ -3342,8 +3226,15 @@ mod tests {
         };
         let dk = DecodedKernel::decode(&k).unwrap();
         let mut mem = DeviceMemory::new();
-        let e =
-            launch_decoded(&dev, &dk, 8, &[Arg::Scalar(Scalar::I64(-5))], &mut mem, 1).unwrap_err();
+        let e = launch_decoded(
+            &dev,
+            &dk,
+            8,
+            &[Arg::Scalar(Scalar::I64(-5))],
+            &mut mem,
+            on_threads(1),
+        )
+        .unwrap_err();
         assert!(
             matches!(e, SimError::NegativeLocalSize { requested: -5, .. }),
             "got {e:?}"
@@ -3384,7 +3275,15 @@ mod tests {
         for threads in [1, 4] {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, 600).unwrap();
-            launch_decoded(&dev, &dk, 600, &[Arg::Buffer(out)], &mut mem, threads).unwrap();
+            launch_decoded(
+                &dev,
+                &dk,
+                600,
+                &[Arg::Buffer(out)],
+                &mut mem,
+                on_threads(threads),
+            )
+            .unwrap();
             let Buffer::I64(v) = mem.download(out).unwrap() else {
                 panic!()
             };
@@ -3509,12 +3408,12 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc(ScalarType::I64, 8).unwrap();
         let b = mem.alloc(ScalarType::I64, 8).unwrap();
-        let opts = LaunchOpts {
+        let opts = RunOptions {
             threads: 1,
             profile: false,
             engine: SimEngine::Lane,
         };
-        let err = launch_decoded_with(
+        let err = launch_decoded(
             &dev,
             &dk,
             8,
@@ -3550,14 +3449,13 @@ mod tests {
         let run = |engine: SimEngine| {
             let mut mem = DeviceMemory::new();
             let out = mem.alloc(ScalarType::I64, n).unwrap();
-            let opts = LaunchOpts {
+            let opts = RunOptions {
                 threads: 1,
                 profile: false,
                 engine,
             };
             let out_run =
-                launch_decoded_with(&dev, &dk, n as u64, &[Arg::Buffer(out)], &mut mem, opts)
-                    .unwrap();
+                launch_decoded(&dev, &dk, n as u64, &[Arg::Buffer(out)], &mut mem, opts).unwrap();
             (out_run.stats, mem.download(out).unwrap().clone())
         };
         let (wstats, wout) = run(SimEngine::Warp);

@@ -5,7 +5,7 @@ use futhark_core::{ArrayVal, Buffer, NameSource, Program, Value};
 use futhark_gpu::codegen::{self, CodegenOptions};
 use futhark_gpu::kernel::KStm;
 use futhark_gpu::plan::{GpuPlan, HStm, LaunchKind};
-use futhark_gpu::{exec, DeviceProfile};
+use futhark_gpu::{exec, DeviceProfile, RunOptions};
 
 fn compile(src: &str, opts: CodegenOptions) -> (GpuPlan, Program) {
     let (mut prog, mut ns): (Program, NameSource) =
@@ -19,7 +19,8 @@ fn compile(src: &str, opts: CodegenOptions) -> (GpuPlan, Program) {
 }
 
 fn run(plan: &GpuPlan, prog: &Program, args: &[Value]) -> (Vec<Value>, exec::PerfReport) {
-    exec::run(plan, prog, &DeviceProfile::gtx780(), args).expect("runs")
+    let opts = RunOptions::default();
+    exec::run(plan, prog, &DeviceProfile::gtx780(), args, opts).expect("runs")
 }
 
 #[test]
@@ -250,10 +251,11 @@ fn device_profiles_order_bandwidth_bound_kernels() {
         Value::i64(1 << 16),
         Value::Array(ArrayVal::from_f32s(vec![1.0; 1 << 16])),
     ];
-    let nv = exec::run(&plan, &prog, &DeviceProfile::gtx780(), &args)
+    let opts = RunOptions::default();
+    let nv = exec::run(&plan, &prog, &DeviceProfile::gtx780(), &args, opts)
         .unwrap()
         .1;
-    let amd = exec::run(&plan, &prog, &DeviceProfile::w8100(), &args)
+    let amd = exec::run(&plan, &prog, &DeviceProfile::w8100(), &args, opts)
         .unwrap()
         .1;
     let nv_pure = nv.kernel_us - DeviceProfile::gtx780().launch_overhead_us;

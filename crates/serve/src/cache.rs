@@ -1,7 +1,7 @@
 //! The content-addressed compiled-artifact cache.
 //!
-//! Artifacts are keyed on the FNV-1a hash of `(source text,
-//! PipelineOptions, device profile)` — the full compilation input — so a
+//! Artifacts are keyed on the FNV-1a hash of `(source text, Schedule,
+//! device profile)` — the full compilation input — so a
 //! hit is sound by construction: any byte of source, any switch of the
 //! pipeline, or a different target profile changes the key. Entries are
 //! `Arc`-shared so concurrent jobs can execute the same artifact while
@@ -19,7 +19,7 @@
 //! many tenants, and their statistics must not bleed together).
 
 use crate::hash::Fnv1a;
-use futhark::{Compiled, DeviceProfile, PipelineOptions, Schedule};
+use futhark::{Compiled, DeviceProfile, Schedule};
 use futhark_core::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,11 +61,6 @@ pub struct ArtifactCache {
     /// Measured peak bytes per `(artifact key, argument-shape signature)`.
     learned_peaks: HashMap<(u64, String), u64>,
     stats: CacheStats,
-}
-
-/// The content-addressed key of one compilation input.
-pub fn artifact_key(source: &str, opts: &PipelineOptions, device: &DeviceProfile) -> u64 {
-    artifact_key_sched(source, &opts.to_schedule(), device)
 }
 
 /// The content-addressed key of one compilation input, keyed on the full
@@ -198,39 +193,20 @@ mod tests {
     fn keys_separate_source_options_and_device() {
         let gtx = Device::Gtx780.profile();
         let amd = Device::W8100.profile();
-        let a = artifact_key(
+        let a = artifact_key_sched("fun main (x: i64): i64 = x", &Schedule::default(), &gtx);
+        let b = artifact_key_sched("fun main (x: i64): i64 = x + 1", &Schedule::default(), &gtx);
+        let c = artifact_key_sched(
             "fun main (x: i64): i64 = x",
-            &PipelineOptions::default(),
+            &Schedule::without(&["fusion"]),
             &gtx,
         );
-        let b = artifact_key(
-            "fun main (x: i64): i64 = x + 1",
-            &PipelineOptions::default(),
-            &gtx,
-        );
-        let c = artifact_key(
-            "fun main (x: i64): i64 = x",
-            &PipelineOptions {
-                fusion: false,
-                ..PipelineOptions::default()
-            },
-            &gtx,
-        );
-        let d = artifact_key(
-            "fun main (x: i64): i64 = x",
-            &PipelineOptions::default(),
-            &amd,
-        );
+        let d = artifact_key_sched("fun main (x: i64): i64 = x", &Schedule::default(), &amd);
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
         assert_eq!(
             a,
-            artifact_key(
-                "fun main (x: i64): i64 = x",
-                &PipelineOptions::default(),
-                &gtx
-            )
+            artifact_key_sched("fun main (x: i64): i64 = x", &Schedule::default(), &gtx)
         );
     }
 

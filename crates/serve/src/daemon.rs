@@ -43,7 +43,7 @@ use crate::lock_ok;
 use crate::metrics::{registry_json, registry_prometheus, GaugeSet, Metrics};
 use crate::proto::{self, ErrorKind, MetricsFormat, Request, Response, RunRequest, Span};
 use crate::recorder::{EventKind, FlightRecorder};
-use futhark::{Compiler, DeviceProfile, RunOptions};
+use futhark::{Compiler, DeviceProfile};
 use futhark_trace::{ChromeTrace, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -402,14 +402,10 @@ impl Daemon {
         self.record(&r.id, EventKind::Received);
         let mut spans = Vec::new();
         let class = self.class_profile().clone();
-        // The effective schedule — explicit if the request carried one,
-        // otherwise derived from the options — keys the artifact cache,
-        // so two schedules for the same source occupy distinct entries.
-        let sched = r
-            .schedule
-            .clone()
-            .unwrap_or_else(|| r.options.to_schedule());
-        let key = artifact_key_sched(&r.source, &sched, &class);
+        // The schedule keys the artifact cache, so two schedules for the
+        // same source occupy distinct entries (and an `options` object and
+        // its equivalent schedule label share one).
+        let key = artifact_key_sched(&r.source, &r.schedule, &class);
 
         // Compile, or hit the artifact cache. The lock is held only for
         // the lookup/insert, not for compilation — concurrent misses of
@@ -420,7 +416,7 @@ impl Daemon {
             Some(a) => (a, true),
             None => {
                 let t0 = Instant::now();
-                let compiled = Compiler::with_schedule(sched.clone()).compile(&r.source);
+                let compiled = Compiler::with_schedule(r.schedule.clone()).compile(&r.source);
                 let us = t0.elapsed().as_secs_f64() * 1e6;
                 match compiled {
                     Ok(c) => {
@@ -556,13 +552,8 @@ impl Daemon {
         let device = &self.inner.cfg.devices[dev_idx];
         let mut uncapped = device.clone();
         uncapped.global_mem_bytes = u64::MAX;
-        let opts = RunOptions {
-            threads: r.threads,
-            profile: r.profile,
-            engine: r.engine,
-        };
         let te = Instant::now();
-        let result = artifact.run_on_with_opts(&uncapped, &r.args, opts);
+        let result = artifact.run_with_opts(&uncapped, &r.args, r.opts);
         let execute_us = te.elapsed().as_secs_f64() * 1e6;
         spans.push(Span {
             name: "execute",

@@ -8,7 +8,7 @@
 //!    source twice must not pay the pipeline twice: compiled artifacts
 //!    live in a content-addressed [`cache::ArtifactCache`], keyed on the
 //!    FNV-1a hash of the source text together with the
-//!    [`futhark::PipelineOptions`] configuration and the device profile.
+//!    [`futhark::Schedule`] and the device profile.
 //!    A response's span list makes the distinction observable — the
 //!    `compile` span is absent on a cache hit.
 //!

@@ -29,7 +29,7 @@
 //! errors include `predicted_peak_bytes` and the best device `capacity`
 //! the job did not fit.
 
-use futhark::{schedule_from_json, PipelineOptions, Schedule, SimEngine};
+use futhark::{schedule_from_json, RunOptions, Schedule, SimEngine};
 use futhark_core::{ArrayVal, Buffer, Scalar, ScalarType, Value};
 use futhark_trace::Json;
 
@@ -80,19 +80,13 @@ pub struct RunRequest {
     pub source: String,
     /// Entry arguments.
     pub args: Vec<Value>,
-    /// Pipeline configuration (defaults to everything on).
-    pub options: PipelineOptions,
-    /// Explicit compilation schedule. When present it subsumes
-    /// `options`; when absent the pipeline derives the schedule from
-    /// `options` (the default schedule for default options).
-    pub schedule: Option<Schedule>,
-    /// Host worker threads for group execution (default 1 — a server
-    /// parallelises across jobs, not within them).
-    pub threads: usize,
-    /// Group-execution engine (default warp).
-    pub engine: SimEngine,
-    /// Whether to collect per-site profile counters.
-    pub profile: bool,
+    /// Compilation schedule: the request's `schedule` label when present,
+    /// else its `options` switches applied to the default schedule.
+    pub schedule: Schedule,
+    /// Execution options: `threads` (default 1 — a server parallelises
+    /// across jobs, not within them), `engine` (default warp), and
+    /// `profile` (per-site counters, default off).
+    pub opts: RunOptions,
 }
 
 /// One timed stage of a job's lifecycle.
@@ -369,14 +363,12 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
             let options = match j.get("options") {
                 Some(o) => options_from_json(o)
                     .ok_or_else(|| (id.clone(), "run: malformed \"options\"".to_string()))?,
-                None => PipelineOptions::default(),
+                None => Schedule::default(),
             };
             let schedule = match j.get("schedule") {
-                Some(s) => Some(
-                    schedule_from_json(s)
-                        .map_err(|e| (id.clone(), format!("run: malformed \"schedule\": {e}")))?,
-                ),
-                None => None,
+                Some(s) => schedule_from_json(s)
+                    .map_err(|e| (id.clone(), format!("run: malformed \"schedule\": {e}")))?,
+                None => options,
             };
             let threads = match j.get("threads") {
                 Some(t) => t
@@ -399,36 +391,29 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                 id,
                 source,
                 args,
-                options,
                 schedule,
-                threads,
-                engine,
-                profile,
+                opts: RunOptions {
+                    threads,
+                    profile,
+                    engine,
+                },
             })))
         }
         other => Err((id, format!("unknown op {other:?}"))),
     }
 }
 
-/// Partial-object pipeline options: absent switches keep their defaults.
-fn options_from_json(j: &Json) -> Option<PipelineOptions> {
-    let mut o = PipelineOptions::default();
+/// Partial-object pipeline switches (see [`Schedule::set_switch`]),
+/// applied to the default schedule: absent switches keep their defaults.
+fn options_from_json(j: &Json) -> Option<Schedule> {
+    let mut s = Schedule::default();
     for (k, v) in j.as_obj()? {
-        let b = match v {
-            Json::Bool(b) => *b,
-            _ => return None,
-        };
-        match k.as_str() {
-            "simplify" => o.simplify = b,
-            "fusion" => o.fusion = b,
-            "coalescing" => o.coalescing = b,
-            "tiling" => o.tiling = b,
-            "memplan" => o.memplan = b,
-            "check" => o.check = b,
+        match v {
+            Json::Bool(b) if s.set_switch(k, *b) => {}
             _ => return None,
         }
     }
-    Some(o)
+    Some(s)
 }
 
 impl Response {
@@ -559,10 +544,10 @@ mod tests {
         match parse_request(line).expect("parses") {
             Request::Run(r) => {
                 assert_eq!(r.id, "j1");
-                assert_eq!(r.threads, 1);
-                assert_eq!(r.engine, SimEngine::Warp);
-                assert!(!r.profile);
-                assert_eq!(r.options, PipelineOptions::default());
+                assert_eq!(r.opts.threads, 1);
+                assert_eq!(r.opts.engine, SimEngine::Warp);
+                assert!(!r.opts.profile);
+                assert!(r.schedule.is_default());
                 assert_eq!(r.args, vec![Value::i64(5)]);
             }
             other => panic!("expected run, got {other:?}"),

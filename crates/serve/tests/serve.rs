@@ -118,6 +118,39 @@ fn options_are_part_of_the_cache_key() {
     assert_eq!(d.stats().cache.misses, 2);
 }
 
+/// An `options` object is parsed straight into a schedule: switching
+/// fusion off through `options` and sending the equivalent schedule label
+/// share one cache entry, and a malformed `options` is a protocol error.
+#[test]
+fn options_and_their_schedule_label_share_one_cache_entry() {
+    let d = daemon(1);
+    let line = |id: &str, field: &str| {
+        format!(
+            r#"{{"op":"run","id":"{id}","source":{},"args":[{{"i64":4}},{{"array":{{"elem":"i64","shape":[4],"data":[1,2,3,4]}}}}],{field}}}"#,
+            quote(MAP_SRC)
+        )
+    };
+    let label = futhark::Schedule::without(&["fusion"]).label();
+    let by_options = parse(&d.handle_line(&line("a", r#""options":{"fusion":false}"#)));
+    let by_label = parse(&d.handle_line(&line("b", &format!(r#""schedule":{}"#, quote(&label)))));
+    assert_eq!(by_options.get("cache").and_then(Json::as_str), Some("miss"));
+    assert_eq!(by_label.get("cache").and_then(Json::as_str), Some("hit"));
+    assert!(!span_names(&by_label).contains(&"compile".to_string()));
+    assert_eq!(by_options.get("outputs"), by_label.get("outputs"));
+
+    for bad in [
+        r#""options":{"fusion":1}"#,
+        r#""options":{"unrolling":false}"#,
+    ] {
+        let j = parse(&d.handle_line(&line("c", bad)));
+        assert_eq!(
+            j.get("kind").and_then(Json::as_str),
+            Some("protocol"),
+            "{bad}"
+        );
+    }
+}
+
 /// Schedules are part of the cache key: two schedules for the same
 /// source occupy distinct cache entries, an explicit default schedule
 /// shares the implicit default's entry, and every schedule computes the

@@ -21,7 +21,7 @@
 //!   lexicographic [`Score`]; the objective never worsens over a tuning
 //!   run.
 
-use futhark::{ChoiceClass, Compiler, Device, Error, PerfReport, Schedule};
+use futhark::{ChoiceClass, Compiler, Device, Error, PerfReport, RunOptions, Schedule};
 use futhark_core::{Rng64, Value};
 
 /// The tuner's objective, compared lexicographically: modelled time
@@ -86,6 +86,9 @@ pub struct TuneConfig {
     /// Sampled per-site override flips per round (on top of the fixed
     /// coarse-switch and class-default neighbourhood).
     pub site_samples: usize,
+    /// Execution options for every evaluation (scores and outputs are
+    /// bit-identical across them; they only change wall-clock time).
+    pub run: RunOptions,
 }
 
 impl Default for TuneConfig {
@@ -94,6 +97,7 @@ impl Default for TuneConfig {
             seed: 0,
             rounds: 4,
             site_samples: 8,
+            run: RunOptions::default(),
         }
     }
 }
@@ -139,10 +143,11 @@ pub fn evaluate(
     args: &[Value],
     device: Device,
     sched: &Schedule,
+    run: RunOptions,
 ) -> Result<(Vec<Value>, Score, [u32; 9]), Error> {
     let compiled = Compiler::with_schedule(sched.clone()).compile(source)?;
     let counts = compiled.choice_counts;
-    let (outputs, perf) = compiled.run(device, args)?;
+    let (outputs, perf) = compiled.run_with_opts(device, args, run)?;
     Ok((outputs, Score::of(&perf), counts))
 }
 
@@ -265,7 +270,7 @@ pub fn tune(
     cfg: &TuneConfig,
 ) -> Result<TuneOutcome, Error> {
     let base = Schedule::default();
-    let (oracle, default_score, mut counts) = evaluate(source, args, device, &base)?;
+    let (oracle, default_score, mut counts) = evaluate(source, args, device, &base, cfg.run)?;
     let mut rng = Rng64::seed_from_u64(cfg.seed);
     let mut current = base;
     let mut current_score = default_score;
@@ -281,7 +286,7 @@ pub fn tune(
         ));
         let mut best: Option<(String, Schedule, Score, [u32; 9])> = None;
         for (desc, sched) in cands {
-            let Ok((outs, score, c)) = evaluate(source, args, device, &sched) else {
+            let Ok((outs, score, c)) = evaluate(source, args, device, &sched, cfg.run) else {
                 continue;
             };
             evaluated += 1;
@@ -346,6 +351,7 @@ mod tests {
             seed: 42,
             rounds: 2,
             site_samples: 4,
+            ..TuneConfig::default()
         };
         let a = tune(SRC, &args(), Device::Gtx780, &cfg).unwrap();
         let b = tune(SRC, &args(), Device::Gtx780, &cfg).unwrap();
@@ -360,6 +366,7 @@ mod tests {
             seed: 7,
             rounds: 3,
             site_samples: 6,
+            ..TuneConfig::default()
         };
         let out = tune(SRC, &args(), Device::Gtx780, &cfg).unwrap();
         let mut prev = out.default_score;

@@ -6,7 +6,7 @@
 //!
 //!     cargo run --release --example kmeans
 
-use futhark::{Compiler, Device};
+use futhark::{Compiler, Device, RunOptions};
 use futhark_core::{ArrayVal, Value};
 
 const FIG4A: &str = "\
@@ -56,7 +56,7 @@ fn main() -> Result<(), futhark::Error> {
         ("Figure 4c (stream_red + in-place)", FIG4C),
     ] {
         let compiled = Compiler::new().compile(src)?;
-        let (out, perf) = compiled.run(Device::Gtx780, &args)?;
+        let (out, perf) = compiled.run_with_opts(Device::Gtx780, &args, RunOptions::default())?;
         match &reference {
             None => reference = Some(out),
             Some(r) => assert_eq!(&out, r, "formulations disagree!"),

@@ -7,6 +7,7 @@
 //! the whole ablation matrix — i.e. the bug it once witnessed stays
 //! fixed.
 
+use futhark::RunOptions;
 use futhark_fuzz::{check_source, corpus};
 use std::path::PathBuf;
 
@@ -35,7 +36,7 @@ fn corpus_fixtures_stay_clean() {
         let args = corpus::parse_fixture(&text)
             .unwrap_or_else(|e| panic!("{}: bad fixture header: {e}", path.display()));
         // The whole file is the program: the header lines are comments.
-        if let Some(failure) = check_source(&text, &args).describe() {
+        if let Some(failure) = check_source(&text, &args, RunOptions::default()).describe() {
             panic!("{}: {failure}", path.display());
         }
     }

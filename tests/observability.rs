@@ -1,7 +1,7 @@
 //! Observability integration tests: pass-level tracing, the execution
 //! timeline, and the futhark-prof trace serialisation.
 
-use futhark::{prof, Compiler, Device, PerfReport, PipelineOptions, TimelineEvent};
+use futhark::{prof, Compiler, Device, PerfReport, RunOptions, Schedule, TimelineEvent};
 use futhark_core::{ArrayVal, Value};
 use futhark_gpu::sim::KernelStats;
 use std::collections::BTreeMap;
@@ -63,14 +63,10 @@ fn trace_covers_enabled_phases_with_nonzero_sizes() {
     );
 
     // Disabled phases produce no spans, and untraced compilation no report.
-    let plain = Compiler::with_options(PipelineOptions {
-        simplify: false,
-        fusion: false,
-        ..PipelineOptions::default()
-    })
-    .with_trace()
-    .compile(QUICKSTART)
-    .expect("compiles");
+    let plain = Compiler::with_schedule(Schedule::without(&["simplify", "fusion"]))
+        .with_trace()
+        .compile(QUICKSTART)
+        .expect("compiles");
     let plain_report = plain.report().unwrap();
     assert!(plain_report.pass("fusion").is_none());
     assert!(plain_report.pass("simplify").is_none());
@@ -97,13 +93,10 @@ fn fusion_event_fires_and_reduces_launches_and_traffic() {
         .sum();
     assert!(fusion_events > 0, "fusing map|>reduce must fire a rule");
 
-    let off = Compiler::with_options(PipelineOptions {
-        fusion: false,
-        ..PipelineOptions::default()
-    })
-    .with_trace()
-    .compile(QUICKSTART)
-    .expect("compiles");
+    let off = Compiler::with_schedule(Schedule::without(&["fusion"]))
+        .with_trace()
+        .compile(QUICKSTART)
+        .expect("compiles");
     assert_eq!(
         off.report()
             .unwrap()
@@ -115,8 +108,12 @@ fn fusion_event_fires_and_reduces_launches_and_traffic() {
     );
 
     let args = quickstart_args(4096);
-    let (out_on, perf_on) = on.run(Device::Gtx780, &args).expect("runs");
-    let (out_off, perf_off) = off.run(Device::Gtx780, &args).expect("runs");
+    let (out_on, perf_on) = on
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .expect("runs");
+    let (out_off, perf_off) = off
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .expect("runs");
     assert_eq!(out_on, out_off, "fusion must not change the result");
     assert!(
         perf_on.launches < perf_off.launches,
@@ -148,13 +145,14 @@ fn nested_perf() -> PerfReport {
         .compile(NESTED)
         .expect("compiles");
     let (_, perf) = compiled
-        .run(
+        .run_with_opts(
             Device::Gtx780,
             &[
                 Value::i64(n as i64),
                 Value::i64(m as i64),
                 Value::Array(ArrayVal::new(vec![n, m], futhark_core::Buffer::F32(data))),
             ],
+            RunOptions::default(),
         )
         .expect("runs");
     perf
@@ -235,7 +233,11 @@ fn trace_round_trips_through_json() {
         .compile(QUICKSTART)
         .expect("compiles");
     let (_, perf) = compiled
-        .run(Device::Gtx780, &quickstart_args(1024))
+        .run_with_opts(
+            Device::Gtx780,
+            &quickstart_args(1024),
+            RunOptions::default(),
+        )
         .expect("runs");
 
     let doc = prof::trace_json(compiled.report(), &perf);
@@ -261,7 +263,11 @@ fn prof_render_shows_kernels_passes_and_counters() {
         .compile(QUICKSTART)
         .expect("compiles");
     let (_, perf) = compiled
-        .run(Device::Gtx780, &quickstart_args(1024))
+        .run_with_opts(
+            Device::Gtx780,
+            &quickstart_args(1024),
+            RunOptions::default(),
+        )
         .expect("runs");
     let text = prof::render(compiled.report(), &perf);
     assert!(text.contains("== futhark-prof =="));

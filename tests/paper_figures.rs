@@ -1,7 +1,7 @@
 //! Tests pinning the qualitative claims of the paper's figures and
 //! evaluation section — the "shape" the reproduction must preserve.
 
-use futhark::{Compiler, Device, PipelineOptions};
+use futhark::{Compiler, Device, RunOptions, Schedule};
 use futhark_core::{ArrayVal, Value};
 use futhark_interp::Interpreter;
 
@@ -101,7 +101,9 @@ fn figure10_stream_fusion_shape() {
     let compiled = Compiler::new()
         .compile(src)
         .expect("compiles through full pipeline");
-    let (gpu, _) = compiled.run(Device::Gtx780, &args).unwrap();
+    let (gpu, _) = compiled
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
     assert_eq!(gpu, vec![Value::i64((0..9).map(|x| 2 * x + 1).sum())]);
 }
 
@@ -140,7 +142,9 @@ fn figure11_interchange_to_top_level() {
         )),
     ];
     let compiled = Compiler::new().compile(src).unwrap();
-    let (gpu, _) = compiled.run(Device::Gtx780, &args).unwrap();
+    let (gpu, _) = compiled
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
     let interp = futhark::interpret(src, &args).unwrap();
     assert_eq!(gpu, interp);
 }
@@ -158,13 +162,13 @@ fn coalescing_transaction_counts() {
     );
     let args = vec![Value::i64(1024), Value::i64(32), Value::Array(xss)];
     let run = |coalescing: bool| {
-        let compiled = Compiler::with_options(PipelineOptions {
-            coalescing,
-            ..PipelineOptions::default()
-        })
-        .compile(src)
-        .unwrap();
-        compiled.run(Device::Gtx780, &args).unwrap().1
+        let mut sched = Schedule::default();
+        sched.set_switch("coalescing", coalescing);
+        let compiled = Compiler::with_schedule(sched).compile(src).unwrap();
+        compiled
+            .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+            .unwrap()
+            .1
     };
     let on = run(true);
     let off = run(false);
@@ -181,10 +185,11 @@ fn coalescing_transaction_counts() {
 fn table1_shape_pins() {
     let get = |name: &str| futhark_bench::benchmark(name).unwrap();
     // Futhark wins on NN, Backprop, Myocyte, N-body on the NVIDIA profile.
+    let opts = RunOptions::default();
     for name in ["NN", "Backprop", "Myocyte", "N-body"] {
         let b = get(name);
-        let fut = b.run_futhark(Device::Gtx780).unwrap().total_ms();
-        let rf = b.run_reference(Device::Gtx780).unwrap();
+        let fut = b.run_futhark(Device::Gtx780, opts).unwrap().total_ms();
+        let rf = b.run_reference(Device::Gtx780, opts).unwrap();
         assert!(
             rf / fut > 1.2,
             "{name}: expected a Futhark win, got {:.2}x",
@@ -193,10 +198,11 @@ fn table1_shape_pins() {
     }
     // Futhark loses on CFD, HotSpot, LavaMD, LocVolCalib on NVIDIA — the
     // paper's "4 out of 12" slower set.
+    let opts = RunOptions::default();
     for name in ["CFD", "HotSpot", "LavaMD", "LocVolCalib"] {
         let b = get(name);
-        let fut = b.run_futhark(Device::Gtx780).unwrap().total_ms();
-        let rf = b.run_reference(Device::Gtx780).unwrap();
+        let fut = b.run_futhark(Device::Gtx780, opts).unwrap().total_ms();
+        let rf = b.run_reference(Device::Gtx780, opts).unwrap();
         assert!(
             rf / fut < 1.0,
             "{name}: expected a Futhark loss, got {:.2}x",
@@ -205,9 +211,10 @@ fn table1_shape_pins() {
     }
     // NN's speedup is smaller on AMD than NVIDIA (launch overheads).
     let nn = get("NN");
-    let nv = nn.run_reference(Device::Gtx780).unwrap()
-        / nn.run_futhark(Device::Gtx780).unwrap().total_ms();
-    let amd = nn.run_reference(Device::W8100).unwrap()
-        / nn.run_futhark(Device::W8100).unwrap().total_ms();
+    let opts = RunOptions::default();
+    let nv = nn.run_reference(Device::Gtx780, opts).unwrap()
+        / nn.run_futhark(Device::Gtx780, opts).unwrap().total_ms();
+    let amd = nn.run_reference(Device::W8100, opts).unwrap()
+        / nn.run_futhark(Device::W8100, opts).unwrap().total_ms();
     assert!(nv > amd, "NN: NV {nv:.2}x should exceed AMD {amd:.2}x");
 }

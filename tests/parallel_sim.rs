@@ -4,12 +4,12 @@
 //! (counters, per-kernel stats, timeline) to the sequential run. This
 //! binary checks that end to end — over every corpus fixture and over a
 //! fuzz campaign — by compiling once and running each program at several
-//! thread counts via [`Compiled::run_with_threads`].
+//! thread counts via [`Compiled::run_with_opts`].
 //!
 //! The campaign size defaults to 1000 cases and can be overridden with
 //! `FUTHARK_PAR_FUZZ_CASES` (CI smoke uses a smaller value).
 
-use futhark::{Compiled, Compiler, Device, PerfReport};
+use futhark::{Compiled, Compiler, Device, PerfReport, RunOptions};
 use futhark_core::Value;
 use futhark_fuzz::{corpus, generate, GenConfig};
 use std::path::PathBuf;
@@ -22,8 +22,12 @@ fn outcome(
     args: &[Value],
     threads: usize,
 ) -> Result<(Vec<Value>, PerfReport), String> {
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
     compiled
-        .run_with_threads(device, args, threads)
+        .run_with_opts(device, args, opts)
         .map_err(|e| e.to_string())
 }
 

@@ -2,14 +2,14 @@
 //! optimiser → GPU backend → simulator, cross-checked against the
 //! reference interpreter — including all sixteen paper benchmarks.
 
-use futhark::{Compiler, Device, PipelineOptions};
+use futhark::{Compiler, Device, RunOptions, Schedule};
 use futhark_core::{ArrayVal, Buffer, Value};
 
 fn assert_gpu_matches_interp(src: &str, args: &[Value]) {
     let compiled = Compiler::new().compile(src).expect("compiles");
     for device in [Device::Gtx780, Device::W8100] {
         let (gpu, perf) = compiled
-            .run(device, args)
+            .run_with_opts(device, args, RunOptions::default())
             .unwrap_or_else(|e| panic!("run failed on {device:?}: {e}"));
         let interp = futhark::interpret(src, args).expect("interprets");
         assert_eq!(gpu.len(), interp.len());
@@ -24,7 +24,7 @@ fn assert_gpu_matches_interp(src: &str, args: &[Value]) {
 fn all_sixteen_benchmarks_verify() {
     let mut failures = Vec::new();
     for b in futhark_bench::all_benchmarks() {
-        if let Err(e) = b.verify() {
+        if let Err(e) = b.verify(RunOptions::default()) {
             failures.push(e);
         }
     }
@@ -36,11 +36,11 @@ fn benchmark_references_also_verify() {
     // The reference models must compute the same answers.
     for b in futhark_bench::all_benchmarks() {
         let src = b.reference.source.as_deref().unwrap_or(&b.source);
-        let compiled = Compiler::with_options(b.reference.opts)
+        let compiled = Compiler::with_schedule(b.reference.schedule.clone())
             .compile(src)
             .unwrap_or_else(|e| panic!("{}: reference compile failed: {e}", b.name));
         let (gpu, _) = compiled
-            .run(Device::Gtx780, &b.small_args)
+            .run_with_opts(Device::Gtx780, &b.small_args, RunOptions::default())
             .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", b.name));
         let interp = futhark::interpret(&b.source, &b.small_args)
             .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", b.name));
@@ -86,16 +86,20 @@ fn ablations_preserve_semantics() {
     for fusion in [true, false] {
         for coalescing in [true, false] {
             for tiling in [true, false] {
-                let opts = PipelineOptions {
-                    fusion,
-                    coalescing,
-                    tiling,
-                    ..PipelineOptions::default()
-                };
-                let compiled = Compiler::with_options(opts).compile(src).unwrap();
-                let (out, _) = compiled.run(Device::Gtx780, &args).unwrap();
+                let mut sched = Schedule::default();
+                sched.set_switch("fusion", fusion);
+                sched.set_switch("coalescing", coalescing);
+                sched.set_switch("tiling", tiling);
+                let compiled = Compiler::with_schedule(sched.clone()).compile(src).unwrap();
+                let (out, _) = compiled
+                    .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+                    .unwrap();
                 for (a, b) in out.iter().zip(&baseline) {
-                    assert!(a.approx_eq(b, 1e-3), "options {opts:?} changed semantics");
+                    assert!(
+                        a.approx_eq(b, 1e-3),
+                        "{} changed semantics",
+                        sched.describe()
+                    );
                 }
             }
         }
@@ -113,14 +117,15 @@ fn coalescing_reduces_transactions_on_row_traversal() {
     );
     let args = vec![Value::i64(512), Value::i64(64), Value::Array(xss)];
     let on = Compiler::new().compile(src).unwrap();
-    let off = Compiler::with_options(PipelineOptions {
-        coalescing: false,
-        ..PipelineOptions::default()
-    })
-    .compile(src)
-    .unwrap();
-    let (_, p_on) = on.run(Device::Gtx780, &args).unwrap();
-    let (_, p_off) = off.run(Device::Gtx780, &args).unwrap();
+    let off = Compiler::with_schedule(Schedule::without(&["coalescing"]))
+        .compile(src)
+        .unwrap();
+    let (_, p_on) = on
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
+    let (_, p_off) = off
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
     assert!(
         p_off.stats.global_transactions > 4 * p_on.stats.global_transactions,
         "on: {}, off: {}",
@@ -151,14 +156,15 @@ fn tiling_uses_local_memory_and_cuts_traffic() {
         )),
     ];
     let tiled = Compiler::new().compile(src).unwrap();
-    let untiled = Compiler::with_options(PipelineOptions {
-        tiling: false,
-        ..PipelineOptions::default()
-    })
-    .compile(src)
-    .unwrap();
-    let (r1, p1) = tiled.run(Device::Gtx780, &args).unwrap();
-    let (r2, p2) = untiled.run(Device::Gtx780, &args).unwrap();
+    let untiled = Compiler::with_schedule(Schedule::without(&["tiling"]))
+        .compile(src)
+        .unwrap();
+    let (r1, p1) = tiled
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
+    let (r2, p2) = untiled
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
     for (a, b) in r1.iter().zip(&r2) {
         assert!(a.approx_eq(b, 1e-3));
     }
@@ -202,8 +208,12 @@ fn amd_launch_overhead_shows_in_launch_heavy_programs() {
         Value::Array(ArrayVal::from_f32s(vec![1.0; 256])),
     ];
     let compiled = Compiler::new().compile(src).unwrap();
-    let (_, nv) = compiled.run(Device::Gtx780, &args).unwrap();
-    let (_, amd) = compiled.run(Device::W8100, &args).unwrap();
+    let (_, nv) = compiled
+        .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+        .unwrap();
+    let (_, amd) = compiled
+        .run_with_opts(Device::W8100, &args, RunOptions::default())
+        .unwrap();
     assert!(
         amd.total_us > 2.0 * nv.total_us,
         "AMD {:.1}us vs NV {:.1}us",
@@ -245,7 +255,9 @@ fn floored_divmod_pins() {
     );
     let compiled = Compiler::new().compile(src).expect("compiles");
     for device in [Device::Gtx780, Device::W8100] {
-        let (gpu, _) = compiled.run(device, &args).expect("runs");
+        let (gpu, _) = compiled
+            .run_with_opts(device, &args, RunOptions::default())
+            .expect("runs");
         assert_eq!(gpu, expect, "{device:?} disagrees with floored semantics");
     }
 }
@@ -277,7 +289,9 @@ fn float_to_int_conversion_edge_cases_pin() {
     assert_eq!(interp, expect, "interpreter conversion edge cases");
     let compiled = Compiler::new().compile(src).expect("compiles");
     for device in [Device::Gtx780, Device::W8100] {
-        let (gpu, _) = compiled.run(device, &args).expect("runs");
+        let (gpu, _) = compiled
+            .run_with_opts(device, &args, RunOptions::default())
+            .expect("runs");
         assert_eq!(gpu, expect, "{device:?} conversion edge cases");
     }
 }

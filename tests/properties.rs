@@ -15,7 +15,7 @@
 //! - the shrinker only ever produces smaller cases that still satisfy the
 //!   failure predicate.
 
-use futhark::{Compiler, Device, PipelineOptions};
+use futhark::{Compiler, Device, RunOptions, Schedule};
 use futhark_core::{ArrayVal, Rng64, Value};
 use futhark_fuzz::{check_case, generate, shrink, GenConfig, Outcome, Strategy, TestCase};
 use futhark_interp::Interpreter;
@@ -37,7 +37,7 @@ fn full_cfg() -> GenConfig {
 }
 
 fn assert_clean(case: &TestCase) {
-    if let Some(failure) = check_case(case).describe() {
+    if let Some(failure) = check_case(case, RunOptions::default()).describe() {
         panic!(
             "seed {} diverged: {failure}\n--- program ---\n{}",
             case.seed,
@@ -135,7 +135,9 @@ fn stream_red_is_chunk_invariant() {
         assert_eq!(whole, chunked);
         // And the GPU's own (thread-count dependent) partitioning agrees.
         let compiled = Compiler::new().compile(src).expect("compiles");
-        let (gpu, _) = compiled.run(Device::Gtx780, &args).expect("runs");
+        let (gpu, _) = compiled
+            .run_with_opts(Device::Gtx780, &args, RunOptions::default())
+            .expect("runs");
         assert_eq!(gpu, whole);
     }
 }
@@ -146,18 +148,18 @@ fn stream_red_is_chunk_invariant() {
 /// verification is never part of an ablation).
 #[test]
 fn ablation_matrix_is_well_formed() {
-    let matrix = PipelineOptions::ablation_matrix();
+    let matrix = Schedule::ablation_matrix();
     assert_eq!(matrix.len(), 7);
-    let labels: Vec<String> = matrix.iter().map(|o| o.label()).collect();
+    let labels: Vec<String> = matrix.iter().map(|(name, _)| name.clone()).collect();
     for (i, l) in labels.iter().enumerate() {
         assert!(
             !labels[..i].contains(l),
             "duplicate ablation label {l:?} in {labels:?}"
         );
     }
-    assert_eq!(matrix[0].label(), PipelineOptions::default().label());
-    for opts in &matrix {
-        assert!(opts.check, "ablations must keep the checker on");
+    assert!(matrix[0].1.is_default());
+    for (_, sched) in &matrix {
+        assert!(sched.check, "ablations must keep the checker on");
     }
 }
 
@@ -181,7 +183,10 @@ fn shrinking_is_sound_and_monotone() {
         assert!(stats.attempts >= stats.accepted);
         // The shrunk program is still a valid, runnable program.
         assert!(
-            !matches!(check_case(&small), Outcome::InterpError(_)),
+            !matches!(
+                check_case(&small, RunOptions::default()),
+                Outcome::InterpError(_)
+            ),
             "shrunk program no longer runs:\n{}",
             small.source()
         );

@@ -7,7 +7,7 @@
 //! single output bit, and the schedules committed under `schedules/`
 //! replay bit-for-bit.
 
-use futhark::{schedule_from_json, Compiler, Device, Json, Schedule};
+use futhark::{schedule_from_json, Compiler, Device, Json, RunOptions, Schedule};
 use futhark_bench::benchmark;
 use futhark_tune::{evaluate, tune, TuneConfig};
 
@@ -21,8 +21,13 @@ fn default_schedule_matches_classic_pipeline() {
     let scheduled = Compiler::with_schedule(Schedule::default())
         .compile(&b.source)
         .expect("scheduled");
-    let (vc, pc) = classic.run(Device::Gtx780, &b.small_args).expect("run");
-    let (vs, ps) = scheduled.run(Device::Gtx780, &b.small_args).expect("run");
+    let opts = RunOptions::default();
+    let (vc, pc) = classic
+        .run_with_opts(Device::Gtx780, &b.small_args, opts)
+        .expect("run");
+    let (vs, ps) = scheduled
+        .run_with_opts(Device::Gtx780, &b.small_args, opts)
+        .expect("run");
     assert_eq!(vc.len(), vs.len());
     for (a, b) in vc.iter().zip(&vs) {
         assert!(a.bit_eq(b), "default schedule changed an output");
@@ -41,6 +46,7 @@ fn tuner_is_deterministic() {
         seed: 42,
         rounds: 2,
         site_samples: 4,
+        ..TuneConfig::default()
     };
     let x = tune(&b.source, &b.small_args, Device::Gtx780, &cfg).expect("tune");
     let y = tune(&b.source, &b.small_args, Device::Gtx780, &cfg).expect("tune");
@@ -59,6 +65,7 @@ fn tuner_accepted_steps_are_monotone() {
         seed: 0,
         rounds: 3,
         site_samples: 4,
+        ..TuneConfig::default()
     };
     let out = tune(&b.source, &b.small_args, Device::Gtx780, &cfg).expect("tune");
     let mut prev = out.default_score;
@@ -83,6 +90,7 @@ fn tuned_schedule_beats_default_on_hotspot() {
         seed: 0,
         rounds: 2,
         site_samples: 4,
+        ..TuneConfig::default()
     };
     let out = tune(&b.source, &b.args, Device::Gtx780, &cfg).expect("tune");
     assert!(
@@ -95,10 +103,17 @@ fn tuned_schedule_beats_default_on_hotspot() {
     );
     // Re-evaluate both schedules from scratch and compare outputs bit
     // for bit — the tuner's internal check, repeated externally.
-    let (dv, ds, _) =
-        evaluate(&b.source, &b.args, Device::Gtx780, &Schedule::default()).expect("default eval");
+    let opts = RunOptions::default();
+    let (dv, ds, _) = evaluate(
+        &b.source,
+        &b.args,
+        Device::Gtx780,
+        &Schedule::default(),
+        opts,
+    )
+    .expect("default eval");
     let (tv, ts, _) =
-        evaluate(&b.source, &b.args, Device::Gtx780, &out.schedule).expect("tuned eval");
+        evaluate(&b.source, &b.args, Device::Gtx780, &out.schedule, opts).expect("tuned eval");
     assert_eq!(dv.len(), tv.len());
     for (a, b) in dv.iter().zip(&tv) {
         assert!(a.bit_eq(b), "tuned schedule changed an output bit");
@@ -124,9 +139,17 @@ fn committed_schedules_replay_bit_for_bit() {
             .and_then(|s| s.get("total_us"))
             .and_then(Json::as_f64)
             .expect("recorded tuned total_us");
-        let (dv, ds, _) = evaluate(&b.source, &b.args, Device::Gtx780, &Schedule::default())
-            .expect("default eval");
-        let (tv, ts, _) = evaluate(&b.source, &b.args, Device::Gtx780, &sched).expect("tuned eval");
+        let opts = RunOptions::default();
+        let (dv, ds, _) = evaluate(
+            &b.source,
+            &b.args,
+            Device::Gtx780,
+            &Schedule::default(),
+            opts,
+        )
+        .expect("default eval");
+        let (tv, ts, _) =
+            evaluate(&b.source, &b.args, Device::Gtx780, &sched, opts).expect("tuned eval");
         assert_eq!(dv.len(), tv.len(), "{name}: arity changed");
         for (a, b) in dv.iter().zip(&tv) {
             assert!(a.bit_eq(b), "{name}: tuned output differs from default");
