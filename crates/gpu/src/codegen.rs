@@ -21,7 +21,7 @@
 //!   local memory, one tile per barrier round (the N-body pattern).
 
 use crate::kernel::{KExp, KParam, KStm, Kernel, PrivId, Reg};
-use crate::plan::{ArgSpec, GpuPlan, HBody, HStm, LaunchKind, LaunchSpec, OutSpec};
+use crate::plan::{ArgSpec, FoldSpec, GpuPlan, HBody, HStm, LaunchKind, LaunchSpec, OutSpec};
 use futhark_core::schedule::{ChoiceClass, Schedule, ScheduleCursor};
 use futhark_core::{
     BinOp, Body, Exp, Lambda, LoopForm, Name, Param, PatElem, Program, Prov, ScalarType, Size,
@@ -101,6 +101,7 @@ pub fn compile_with(
         kernels: Vec::new(),
         types: HashMap::new(),
         kcount: 0,
+        folds: 0,
     };
     for p in &main.params {
         cg.types.insert(p.name.clone(), p.ty.clone());
@@ -122,6 +123,8 @@ struct Codegen<'a> {
     kernels: Vec<Kernel>,
     types: HashMap<Name, Type>,
     kcount: usize,
+    /// Fold kernels built so far (numbers the [`FoldSpec`]s).
+    folds: usize,
 }
 
 impl Codegen<'_> {
@@ -426,8 +429,8 @@ impl Codegen<'_> {
     }
 
     /// Two-stage reduction: a streaming fold kernel producing per-thread
-    /// partials, then a host-side combine (counted as a small device op).
-    /// Covers top-level `reduce` and `redomap`.
+    /// partials, then a combine folding them with the operator (counted as
+    /// a small device op). Covers top-level `reduce` and `redomap`.
     fn stream_fold_launch(
         &mut self,
         stm: &Stm,
@@ -523,6 +526,11 @@ impl Codegen<'_> {
             });
         }
         let kernel = kb.finish(body_stms);
+        let acc_types: Vec<Type> = neutral
+            .iter()
+            .map(|ne| self.subexp_scalar_type(ne).map(Type::Scalar))
+            .collect::<CResult<_>>()?;
+        let fold = self.fold(&kernel.name, stm, red_lam, neutral, &acc_types)?;
         // The launch binds the partials under the final output names (the
         // Combine reads them before rebinding, so the shadowing is safe).
         let pat: Vec<PatElem> = stm
@@ -549,8 +557,7 @@ impl Codegen<'_> {
             HStm::Combine {
                 pat: stm.pat.clone(),
                 partials: partial_names,
-                red_lam: red_lam.clone(),
-                init: neutral.to_vec(),
+                fold,
             },
         ])
     }
@@ -669,6 +676,7 @@ impl Codegen<'_> {
             }
         }
         let kernel = kb.finish(body_stms);
+        let fold = self.fold(&kernel.name, stm, red_lam, accs, &fold_lam.ret)?;
         let pat: Vec<PatElem> = stm
             .pat
             .iter()
@@ -696,10 +704,87 @@ impl Codegen<'_> {
             HStm::Combine {
                 pat: stm.pat.clone(),
                 partials: partial_names,
-                red_lam: red_lam.clone(),
-                init: accs.to_vec(),
+                fold,
             },
         ])
+    }
+
+    /// The second stage of a two-stage reduction as a one-thread kernel
+    /// (see [`FoldSpec`]): accumulators of `acc_types` start from `init`,
+    /// then fold partial row `i = 0, 1, …` in with `red_lam`, lowered
+    /// exactly as stage 1 lowers its operators. Uses no kernel number, so
+    /// kernel names and `codegen.kernels_extracted` are unaffected.
+    fn fold(
+        &mut self,
+        stage1: &str,
+        stm: &Stm,
+        red_lam: &Lambda,
+        init: &[SubExp],
+        acc_types: &[Type],
+    ) -> CResult<FoldSpec> {
+        let mut kb = KBuild::new(format!("{stage1}_fold"), stm.prov.clone());
+        let count = kb.partial_count_arg();
+        let mut partials = Vec::new();
+        for (j, t) in acc_types.iter().enumerate() {
+            let mut dims = vec![count.clone()];
+            if let Type::Array(at) = t {
+                for d in &at.dims {
+                    dims.push(kb.scalar_subexp(&SubExp::from(d), ScalarType::I64)?);
+                }
+            }
+            let buf = kb.partial_arg(j, t.elem());
+            partials.push(TVal::GArr(GRef::new(buf, t.elem(), dims, &[])));
+        }
+        let mut body_stms = Vec::new();
+        let mut lower = Lower {
+            cg_types: &self.types,
+            kb: &mut kb,
+            env: HashMap::new(),
+        };
+        let k = init.len();
+        if red_lam.params.len() != 2 * k || acc_types.len() != k {
+            return cerr("combine operator arity does not match its accumulators");
+        }
+        let mut accs = Vec::new();
+        for (p, ne) in red_lam.params[..k].iter().zip(init) {
+            let v = lower.init_acc(p, ne, &mut body_stms)?;
+            lower.env.insert(p.name.clone(), v.clone());
+            accs.push(v);
+        }
+        let i = lower.kb.reg();
+        let mut loop_body = Vec::new();
+        for (p, part) in red_lam.params[k..].iter().zip(&partials) {
+            let row = lower.read_elem_or_slice(part, &[KExp::Var(i)], &mut loop_body)?;
+            lower.env.insert(p.name.clone(), row);
+        }
+        let res = lower.body(&red_lam.body, &mut loop_body)?;
+        lower.write_back(&accs, &res, &mut loop_body)?;
+        body_stms.push(KStm::For {
+            var: i,
+            bound: count,
+            body: loop_body,
+        });
+        for (j, (acc, t)) in accs.iter().zip(acc_types).enumerate() {
+            let arg = lower.kb.out_arg(j, t.elem());
+            let dims = match t {
+                Type::Array(at) => at
+                    .dims
+                    .iter()
+                    .map(|d| lower.kb.scalar_subexp(&SubExp::from(d), ScalarType::I64))
+                    .collect::<CResult<_>>()?,
+                Type::Scalar(_) => Vec::new(),
+            };
+            let dst = GRef::new(arg, t.elem(), dims, &[]);
+            lower.write_into(&dst, acc, &mut body_stms)?;
+        }
+        let kernel = kb.finish(body_stms);
+        let id = self.folds;
+        self.folds += 1;
+        Ok(FoldSpec {
+            kernel,
+            args: kb_args(&kb),
+            id,
+        })
     }
 
     /// A scatter kernel: one thread per index/value pair. The output buffer
@@ -935,6 +1020,20 @@ impl KBuild {
             .map(|d| self.scalar_subexp(&SubExp::from(d), ScalarType::I64))
             .collect::<CResult<_>>()?;
         Ok(TVal::GArr(GRef::new(arg, at.elem, dims, &perm)))
+    }
+
+    /// Adds a partial-array parameter (fold kernels).
+    fn partial_arg(&mut self, j: usize, elem: ScalarType) -> usize {
+        self.params.push(KParam::Buffer(elem));
+        self.launch_args.push(ArgSpec::Partial(j));
+        self.params.len() - 1
+    }
+
+    /// Adds the partial-count parameter (fold kernels).
+    fn partial_count_arg(&mut self) -> KExp {
+        self.params.push(KParam::Scalar(ScalarType::I64));
+        self.launch_args.push(ArgSpec::PartialCount);
+        KExp::ScalarArg(self.params.len() - 1)
     }
 
     /// Adds an output buffer parameter.
@@ -1805,6 +1904,33 @@ impl<'a> Lower<'a> {
         }
     }
 
+    /// Stores loop results into their merge locations: registers by
+    /// assignment, private arrays by element copy (skipped when the result
+    /// already is the merge array).
+    fn write_back(
+        &mut self,
+        merge: &[TVal],
+        results: &[TVal],
+        stms: &mut Vec<KStm>,
+    ) -> CResult<()> {
+        for (m, r) in merge.iter().zip(results) {
+            match (m, r) {
+                (TVal::Reg(mr, _), rv) => {
+                    stms.push(KStm::Assign {
+                        var: *mr,
+                        exp: tval_scalar(rv)?,
+                    });
+                }
+                (TVal::Priv(mp), TVal::Priv(rp)) if mp.id == rp.id => {}
+                (TVal::Priv(mp), rv) => {
+                    self.copy_elements(&CopyDst::Priv(mp.clone()), rv, stms)?;
+                }
+                _ => return cerr("unsupported loop merge shape"),
+            }
+        }
+        Ok(())
+    }
+
     fn lower_loop(
         &mut self,
         params: &[(Param, SubExp)],
@@ -1819,35 +1945,6 @@ impl<'a> Lower<'a> {
             self.env.insert(p.name.clone(), v.clone());
             merge.push(v);
         }
-        let write_back = |lower: &mut Self,
-                          merge: &[TVal],
-                          results: &[TVal],
-                          stms: &mut Vec<KStm>|
-         -> CResult<()> {
-            for (m, r) in merge.iter().zip(results) {
-                match (m, r) {
-                    (TVal::Reg(mr, _), rv) => {
-                        stms.push(KStm::Assign {
-                            var: *mr,
-                            exp: tval_scalar(rv)?,
-                        });
-                    }
-                    (TVal::Priv(mp), TVal::Priv(rp)) if mp.id == rp.id => {}
-                    (TVal::Priv(mp), rv) => {
-                        let total = mp
-                            .dims
-                            .iter()
-                            .cloned()
-                            .reduce(|a, b| a.mul(b))
-                            .unwrap_or(KExp::i64(1));
-                        let _ = total;
-                        lower.copy_elements(&CopyDst::Priv(mp.clone()), rv, stms)?;
-                    }
-                    _ => return cerr("unsupported loop merge shape"),
-                }
-            }
-            Ok(())
-        };
         match form {
             LoopForm::For { var, bound } => {
                 let b = self.subexp(bound, out)?;
@@ -1855,7 +1952,7 @@ impl<'a> Lower<'a> {
                 self.env.insert(var.clone(), TVal::Reg(i, ScalarType::I64));
                 let mut inner = Vec::new();
                 let results = self.body(body, &mut inner)?;
-                write_back(self, &merge, &results, &mut inner)?;
+                self.write_back(&merge, &results, &mut inner)?;
                 out.push(KStm::For {
                     var: i,
                     bound: b,
@@ -1873,7 +1970,7 @@ impl<'a> Lower<'a> {
                 out.extend(pre);
                 let mut inner = Vec::new();
                 let results = self.body(body, &mut inner)?;
-                write_back(self, &merge, &results, &mut inner)?;
+                self.write_back(&merge, &results, &mut inner)?;
                 let cvals2 = self.body(cond, &mut inner)?;
                 let c2 = tval_scalar(&cvals2[0])?;
                 inner.push(KStm::Assign { var: cr, exp: c2 });

@@ -10,13 +10,14 @@
 //! inside host loops.
 
 use crate::device::DeviceProfile;
-use crate::plan::{ArgSpec, GpuPlan, HBody, HStm, LaunchKind, LaunchSpec, StealKind};
+use crate::kernel::Kernel;
+use crate::plan::{ArgSpec, FoldSpec, GpuPlan, HBody, HStm, LaunchKind, LaunchSpec, StealKind};
 use crate::sim::{
     self, Arg, BufId, DeviceMemory, KernelStats, Limiter, MemEvent, MemOp, MemStats, SimError,
     SiteStats, TimeBreakdown,
 };
 use crate::tape::{DecodedKernel, SimEngine};
-use futhark_core::traverse::{free_in_exp, free_in_lambda};
+use futhark_core::traverse::free_in_exp;
 use futhark_core::{
     ArrayVal, Buffer, Exp, Name, PatElem, Program, Scalar, ScalarType, Size, SubExp, Type, Value,
 };
@@ -527,8 +528,8 @@ impl Default for RunOptions {
 /// Runs a compiled plan on the given device profile with the given
 /// execution options (worker threads, engine, source-site profiling).
 ///
-/// `prog` is the original (flattened) program: interpreter fallbacks and
-/// host-side combines evaluate fragments of it.
+/// `prog` is the original (flattened) program: interpreter fallbacks
+/// evaluate fragments of it.
 ///
 /// # Errors
 ///
@@ -615,6 +616,7 @@ struct Executor<'a> {
     layout_cache: HashMap<(BufId, Vec<usize>), BufId>,
     /// Kernels pre-decoded to flat opcode tapes, lazily, once per plan
     /// kernel — host loops re-launching the same kernel skip the decode.
+    /// Combine folds follow the plan's kernels, at `kernels.len() + id`.
     decoded: Vec<Option<DecodedKernel>>,
     /// Per-kernel provenance union keys, computed lazily (the site that
     /// memory events inside a launch are attributed to).
@@ -928,9 +930,8 @@ impl<'a> Executor<'a> {
             HStm::Combine {
                 pat,
                 partials,
-                red_lam,
-                init,
-            } => self.combine(pat, partials, red_lam, init),
+                fold,
+            } => self.combine(pat, partials, fold),
             HStm::Loop {
                 pat,
                 params,
@@ -1514,11 +1515,14 @@ impl<'a> Executor<'a> {
                     Arg::Buffer(self.materialise(&d, perm)?)
                 }
                 ArgSpec::Out(i) => Arg::Buffer(out_bufs[*i]),
+                ArgSpec::Partial(_) | ArgSpec::PartialCount => {
+                    return Err(ExecError::Plan(
+                        "combine argument in a kernel launch".into(),
+                    ))
+                }
             });
         }
-        if self.decoded[spec.kernel].is_none() {
-            self.decoded[spec.kernel] = Some(DecodedKernel::decode(kernel)?);
-        }
+        self.decode(spec.kernel, kernel)?;
         let dk = self.decoded[spec.kernel].as_ref().expect("just decoded");
         let out = crate::tape::launch_decoded(
             self.device,
@@ -1600,53 +1604,79 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn combine(
-        &mut self,
-        pat: &[PatElem],
-        partials: &[Name],
-        red_lam: &futhark_core::Lambda,
-        init: &[SubExp],
-    ) -> EResult<()> {
-        // Download partials; fold on the host with the combine operator.
-        let parts: Vec<ArrayVal> = partials
-            .iter()
-            .map(|p| {
-                let d = self.array(p)?;
-                self.download_arr(&d)
-            })
-            .collect::<EResult<_>>()?;
-        let t_count = parts[0].shape[0];
-        let mut acc: Vec<Value> = init
-            .iter()
-            .map(|se| self.download_value(&self.hval(se)?.clone()))
-            .collect::<EResult<_>>()?;
-        // The operator may reference free host variables (e.g. widths of a
-        // vectorised combine); bind them.
-        let mut bindings: HashMap<Name, Value> = HashMap::new();
-        for v in free_in_lambda(red_lam) {
-            if let Some(hv) = self.env.get(&v).cloned() {
-                let val = self.download_value(&hv)?;
-                bindings.insert(v, val);
-            }
+    /// Decodes `kernel` into decode-cache slot `slot`, once per run.
+    fn decode(&mut self, slot: usize, kernel: &Kernel) -> EResult<()> {
+        if self.decoded.len() <= slot {
+            self.decoded.resize(slot + 1, None);
         }
-        let mut interp = Interpreter::new(self.prog);
-        for i in 0..t_count as i64 {
-            let mut args = acc;
-            for p in &parts {
-                let v = if p.rank() == 1 {
-                    Value::Scalar(p.index_scalar(&[i]).expect("in bounds"))
-                } else {
-                    Value::Array(p.index_slice(&[i]).expect("in bounds"))
-                };
-                args.push(v);
-            }
-            acc = interp.eval_lambda_with(&bindings, red_lam, &args)?;
+        if self.decoded[slot].is_none() {
+            self.decoded[slot] = Some(DecodedKernel::decode(kernel)?);
         }
+        Ok(())
+    }
+
+    /// Runs a combine's fold kernel on one thread, on the run's engine.
+    /// The fold works on copies of the partials in a throwaway device
+    /// memory, so it adds no arena events and no timeline launch, and its
+    /// counters are dropped: the combine is costed as one small
+    /// second-stage reduction over the partials.
+    fn combine(&mut self, pat: &[PatElem], partials: &[Name], fold: &FoldSpec) -> EResult<()> {
+        let parts: Vec<DArr> = partials
+            .iter()
+            .map(|p| self.array(p))
+            .collect::<EResult<_>>()?;
+        let part = |j: usize| {
+            parts
+                .get(j)
+                .ok_or_else(|| ExecError::Plan(format!("combine has no partial {j}")))
+        };
+        let count = parts.first().map_or(0, |d| d.shape[0]);
+        let mut scratch = DeviceMemory::new();
+        // Per accumulator: its output buffer and logical shape.
+        let mut outs: Vec<Option<(BufId, Vec<usize>)>> = vec![None; pat.len()];
+        let mut args = Vec::with_capacity(fold.args.len());
+        for a in &fold.args {
+            args.push(match a {
+                ArgSpec::ScalarVar(v) => Arg::Scalar(self.scalar(&SubExp::Var(v.clone()))?),
+                ArgSpec::ScalarConst(k) => Arg::Scalar(*k),
+                ArgSpec::NumThreadsArg => Arg::Scalar(Scalar::I64(1)),
+                ArgSpec::PartialCount => Arg::Scalar(Scalar::I64(count as i64)),
+                ArgSpec::Partial(j) => {
+                    let data = self.download_arr(part(*j)?)?.data;
+                    Arg::Buffer(scratch.upload(data)?)
+                }
+                ArgSpec::ArrayIn { name, perm } => {
+                    let a = self.download_arr(&self.array(name)?)?;
+                    let a = if perm.is_empty() {
+                        a
+                    } else {
+                        a.rearrange(perm)
+                    };
+                    Arg::Buffer(scratch.upload(a.data)?)
+                }
+                ArgSpec::Out(j) => {
+                    let d = part(*j)?;
+                    let shape = d.shape[1..].to_vec();
+                    let buf = scratch.alloc(d.elem, shape.iter().product())?;
+                    let slot = outs
+                        .get_mut(*j)
+                        .ok_or_else(|| ExecError::Plan(format!("combine has no result {j}")))?;
+                    *slot = Some((buf, shape));
+                    Arg::Buffer(buf)
+                }
+            });
+        }
+        let slot = self.plan.kernels.len() + fold.id;
+        self.decode(slot, &fold.kernel)?;
+        let dk = self.decoded[slot].as_ref().expect("just decoded");
+        let one = RunOptions {
+            threads: 1,
+            profile: false,
+            engine: self.opts.engine,
+        };
+        crate::tape::launch_decoded(self.device, dk, 1, &args, &mut scratch, one)?;
         // Cost: a small second-stage reduction over the partials.
-        let bytes: f64 = parts
-            .iter()
-            .map(|p| (p.data.len() * p.elem_type().byte_size()) as f64)
-            .sum();
+        let bytes: f64 = parts.iter().map(|d| d.bytes() as f64).sum();
         let t = self.device.launch_overhead_us
             + self.device.memory_us(bytes)
             + self.device.sync_overhead_us;
@@ -1657,7 +1687,15 @@ impl<'a> Executor<'a> {
             bytes: bytes as u64,
             us: t,
         });
-        for (pe, v) in pat.iter().zip(acc) {
+        for (pe, out) in pat.iter().zip(outs) {
+            let (buf, shape) =
+                out.ok_or_else(|| ExecError::Plan(format!("combine never binds {}", pe.name)))?;
+            let data = scratch.download(buf)?.clone();
+            let v = if shape.is_empty() {
+                Value::Scalar(data.get(0))
+            } else {
+                Value::Array(ArrayVal::new(shape, data))
+            };
             let hv = self.upload_value(&v)?;
             self.env.insert(pe.name.clone(), hv);
         }

@@ -29,7 +29,7 @@
 //! to wrong values.
 
 use crate::plan::{ArgSpec, GpuPlan, HBody, HStm, LaunchKind, StealKind};
-use futhark_core::traverse::{free_in_exp, free_in_lambda};
+use futhark_core::traverse::free_in_exp;
 use futhark_core::{Exp, Name, NameSource, ScalarType, SubExp, Type};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -150,6 +150,17 @@ impl Analysis {
         }
     }
 
+    /// The host variables a kernel's arguments read.
+    fn use_args(&mut self, args: &[ArgSpec], site: &Site) {
+        for a in args {
+            match a {
+                ArgSpec::ScalarVar(v) => self.use_at(v, site),
+                ArgSpec::ArrayIn { name, .. } => self.use_at(name, site),
+                _ => {}
+            }
+        }
+    }
+
     fn new_scope(&mut self, kind: ScopeKind, owner: Site) -> usize {
         self.scopes.push(ScopeInfo {
             kind,
@@ -205,13 +216,7 @@ impl Analysis {
                 if let LaunchKind::Stream { total } = &spec.kind {
                     self.use_subexp(total, site);
                 }
-                for a in &spec.args {
-                    match a {
-                        ArgSpec::ScalarVar(v) => self.use_at(v, site),
-                        ArgSpec::ArrayIn { name, .. } => self.use_at(name, site),
-                        _ => {}
-                    }
-                }
+                self.use_args(&spec.args, site);
                 for (j, o) in spec.outs.iter().enumerate() {
                     for s in &o.shape {
                         self.use_subexp(s, site);
@@ -236,18 +241,13 @@ impl Analysis {
             HStm::Combine {
                 pat,
                 partials,
-                red_lam,
-                init,
+                fold,
             } => {
                 for p in partials {
                     self.use_at(p, site);
                 }
-                for v in free_in_lambda(red_lam) {
-                    self.use_at(&v, site);
-                }
-                for se in init {
-                    self.use_subexp(se, site);
-                }
+                // Initial values and the operator's free variables.
+                self.use_args(&fold.args, site);
                 for pe in pat {
                     self.def(&pe.name, &pe.ty, site);
                 }

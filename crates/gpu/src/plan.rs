@@ -7,7 +7,7 @@
 //! in simulated device memory and accumulating a performance report.
 
 use crate::kernel::Kernel;
-use futhark_core::{Lambda, Name, Param, PatElem, Scalar, ScalarType, Stm, SubExp};
+use futhark_core::{Name, Param, PatElem, Scalar, ScalarType, Stm, SubExp};
 
 /// How a launch computes its thread count.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +44,12 @@ pub enum ArgSpec {
     },
     /// Output buffer `index` of this launch.
     Out(usize),
+    /// Partial array `index` of a [`HStm::Combine`] (fold kernels only).
+    /// Bound by position: the memory planner renames the partials.
+    Partial(usize),
+    /// The number of partials, i.e. the first stage's thread count (fold
+    /// kernels only).
+    PartialCount,
 }
 
 /// When an `init_from` output may *steal* the source buffer instead of
@@ -101,6 +107,26 @@ pub struct LaunchSpec {
     pub outs: Vec<OutSpec>,
 }
 
+/// The second stage of a two-stage reduction, compiled to a one-thread
+/// kernel. Starting from the initial accumulator values, it folds the
+/// partials left to right with the combine operator — the interpreter's
+/// order, so results are bit-identical to it — and writes accumulator `j`
+/// to output `j`. Fold kernels are not part of [`GpuPlan::kernels`]: they
+/// are not launches, and they count as neither kernels nor launch sites.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FoldSpec {
+    /// The fold kernel.
+    pub kernel: Kernel,
+    /// Arguments, aligned with the kernel's parameter list:
+    /// [`ArgSpec::Partial`] and [`ArgSpec::PartialCount`] for the partials,
+    /// [`ArgSpec::Out`] for the results, and host scalars and arrays for
+    /// the initial values and the operator's free variables.
+    pub args: Vec<ArgSpec>,
+    /// This fold's number among the plan's folds (its slot in the
+    /// executor's decode cache, after the plan's kernels).
+    pub id: usize,
+}
+
 /// A host-level statement of the plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HStm {
@@ -117,17 +143,17 @@ pub enum HStm {
         /// The launch.
         spec: LaunchSpec,
     },
-    /// Host-side combine of per-thread partial results (the second stage
-    /// of a two-stage reduction / `stream_red`).
+    /// Combine of per-thread partial results (the second stage of a
+    /// two-stage reduction / `stream_red`): the executor runs the
+    /// statement's [`FoldSpec`] kernel on one thread and binds its outputs.
+    /// Costed as one small device op, not as a launch.
     Combine {
         /// Bound pattern (the final accumulator values).
         pat: Vec<PatElem>,
         /// Partials: one array per accumulator, outer size = thread count.
         partials: Vec<Name>,
-        /// The associative combine operator.
-        red_lam: Lambda,
-        /// Initial accumulator values.
-        init: Vec<SubExp>,
+        /// The compiled fold over the partials.
+        fold: FoldSpec,
     },
     /// A sequential host loop containing device work.
     Loop {

@@ -38,7 +38,17 @@
 //! deterministically by the ordered log application (highest group id
 //! wins, matching what sequential group-at-a-time execution produced);
 //! within a group, later lanes/statements win, as on real hardware's
-//! in-order warp retirement. The only behaviour this model cannot express
+//! in-order warp retirement.
+//!
+//! The write log is append-only: one `Vec` of `(element, bits)` per
+//! distinct buffer argument, in program order (lanes ascending within a
+//! statement), replayed in that order at commit so the last write wins.
+//! A group that reads a buffer it has written looks the element up through
+//! an element → log-position index, built lazily on the first such read
+//! and maintained by later writes; the kernels the code generator emits
+//! never take that path, so the common write costs one push and no hash.
+//!
+//! The only behaviour this model cannot express
 //! is a group *reading* another group's write from the same launch — that
 //! is a data race on a real GPU (no inter-group synchronisation exists
 //! short of kernel exit), the code generator never emits it, and under
@@ -1130,12 +1140,54 @@ impl RegFiles {
 // Group execution
 // ---------------------------------------------------------------------------
 
-/// What one group's execution produces: its counters and its write log
-/// (final value per written element — within-group ordering is already
-/// resolved, last write wins).
+/// One buffer's writes from one work-group, in program order: applying
+/// the entries in order at commit makes the group's last write win.
+///
+/// Reads of a buffer the group has written consult `latest`, an element →
+/// entry-position index built on the first such read and maintained by
+/// every write after it. A group that never reads its own writes (every
+/// kernel the code generator emits for the paper suite) pays one push per
+/// write and nothing else.
+#[derive(Debug, Default)]
+struct WriteLog {
+    entries: Vec<(usize, u64)>,
+    latest: Option<HashMap<usize, usize>>,
+}
+
+impl WriteLog {
+    #[inline]
+    fn push(&mut self, i: usize, bits: u64) {
+        if let Some(latest) = &mut self.latest {
+            latest.insert(i, self.entries.len());
+        }
+        self.entries.push((i, bits));
+    }
+
+    /// The group's last write to element `i`, if it wrote one.
+    #[inline]
+    fn get(&mut self, i: usize) -> Option<u64> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        let entries = &self.entries;
+        let latest = self.latest.get_or_insert_with(|| {
+            // Later positions overwrite earlier ones: the index holds the
+            // last write per element.
+            entries
+                .iter()
+                .enumerate()
+                .map(|(p, &(i, _))| (i, p))
+                .collect()
+        });
+        latest.get(&i).map(|&p| entries[p].1)
+    }
+}
+
+/// What one group's execution produces: its counters and one write log
+/// per distinct buffer argument.
 struct GroupOut {
     stats: KernelStats,
-    writes: HashMap<BufId, HashMap<usize, u64>>,
+    writes: Vec<WriteLog>,
     /// Per-site counters (profiled runs only); length is
     /// `prov_table.len() + 1`, the last slot being the unattributed bucket.
     sites: Option<Vec<SiteStats>>,
@@ -1150,7 +1202,9 @@ struct GroupOut {
 struct GroupRun<'a> {
     dk: &'a DecodedKernel,
     base: &'a DeviceMemory,
-    buf_ids: &'a [Option<BufId>],
+    /// Per argument: the buffer and its write-log slot (arguments naming
+    /// the same buffer share one slot, so aliased writes stay visible).
+    bufs: &'a [Option<(BufId, usize)>],
     scalar_bits: &'a [Option<u64>],
     group_id: u64,
     group_size: u64,
@@ -1163,9 +1217,10 @@ struct GroupRun<'a> {
     privs: Vec<Vec<u64>>,
     /// Per-group local buffers as bits.
     locals: Vec<Vec<u64>>,
-    /// This group's global-memory overlay: reads consult it before the
-    /// base snapshot, and it doubles as the ordered-by-index write log.
-    writes: HashMap<BufId, HashMap<usize, u64>>,
+    /// This group's global-memory overlay, one [`WriteLog`] per write-log
+    /// slot: reads consult it before the base snapshot, and it is applied
+    /// to device memory at commit.
+    writes: Vec<WriteLog>,
     stack: Vec<u64>,
     /// Scratch: per-lane element offsets of the current global access.
     offsets: Vec<Option<i64>>,
@@ -1303,8 +1358,9 @@ impl<'a> GroupRun<'a> {
         }
     }
 
-    fn buffer(&self, arg: usize) -> SResult<BufId> {
-        self.buf_ids
+    /// A buffer argument's id and write-log slot.
+    fn buffer(&self, arg: usize) -> SResult<(BufId, usize)> {
+        self.bufs
             .get(arg)
             .copied()
             .flatten()
@@ -1473,7 +1529,7 @@ impl<'a> GroupRun<'a> {
                     index,
                 } => {
                     self.issue(mask, index.cost);
-                    let bid = self.buffer(*buf)?;
+                    let (bid, wlog) = self.buffer(*buf)?;
                     let base_buf = self.base.raw(bid);
                     let len = base_buf.len() as i64;
                     let elem_bytes = base_buf.elem_type().byte_size() as u64;
@@ -1486,11 +1542,10 @@ impl<'a> GroupRun<'a> {
                             }
                             self.offsets[lane] = Some(i);
                             // Overlay first: the group sees its own writes.
-                            let bits =
-                                match self.writes.get(&bid).and_then(|m| m.get(&(i as usize))) {
-                                    Some(&b) => b,
-                                    None => buf_get_bits(self.base.raw(bid), i as usize),
-                                };
+                            let bits = match self.writes[wlog].get(i as usize) {
+                                Some(b) => b,
+                                None => buf_get_bits(self.base.raw(bid), i as usize),
+                            };
                             self.files.set(*class, *slot, lane, bits);
                         }
                     }
@@ -1498,7 +1553,7 @@ impl<'a> GroupRun<'a> {
                 }
                 DStm::GlobalWrite { buf, index, value } => {
                     self.issue(mask, index.cost + value.cost);
-                    let bid = self.buffer(*buf)?;
+                    let (bid, wlog) = self.buffer(*buf)?;
                     let len = self.base.raw(bid).len() as i64;
                     let elem_bytes = self.base.raw(bid).elem_type().byte_size() as u64;
                     for lane in 0..mask.len() {
@@ -1510,7 +1565,7 @@ impl<'a> GroupRun<'a> {
                             }
                             let bits = self.eval(value, lane)?;
                             self.offsets[lane] = Some(i);
-                            self.writes.entry(bid).or_default().insert(i as usize, bits);
+                            self.writes[wlog].push(i as usize, bits);
                         }
                     }
                     self.memory_access(mask, elem_bytes);
@@ -2179,7 +2234,7 @@ impl<'a> GroupRun<'a> {
                     index,
                 } => {
                     self.issue_w(mask, index.cost);
-                    let bid = self.buffer(*buf)?;
+                    let (bid, wlog) = self.buffer(*buf)?;
                     let len = self.base.raw(bid).len() as i64;
                     let elem_bytes = self.base.raw(bid).elem_type().byte_size() as u64;
                     let mut tf = self.weval(index, mask)?;
@@ -2201,14 +2256,15 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                     // Data movement: no faults possible past this point.
-                    // One overlay lookup per buffer, not per lane.
-                    let ov = self.writes.get(&bid);
+                    // A buffer this group has not written reads straight
+                    // from the snapshot.
+                    let log = &mut self.writes[wlog];
                     let base_buf = self.base.raw(bid);
                     for l in 0..lanes {
                         if mask.on[l] {
                             let i = self.offsets[l].expect("checked above") as usize;
-                            let bits = match ov.and_then(|m| m.get(&i)) {
-                                Some(&b) => b,
+                            let bits = match log.get(i) {
+                                Some(b) => b,
                                 None => buf_get_bits(base_buf, i),
                             };
                             self.files.set(*class, *slot, l, bits);
@@ -2218,7 +2274,7 @@ impl<'a> GroupRun<'a> {
                 }
                 DStm::GlobalWrite { buf, index, value } => {
                     self.issue_w(mask, index.cost + value.cost);
-                    let bid = self.buffer(*buf)?;
+                    let (bid, wlog) = self.buffer(*buf)?;
                     let len = self.base.raw(bid).len() as i64;
                     let elem_bytes = self.base.raw(bid).elem_type().byte_size() as u64;
                     let mut tfi = self.weval(index, mask)?;
@@ -2248,10 +2304,10 @@ impl<'a> GroupRun<'a> {
                         }
                     }
                     let rv = value.result as usize * lanes;
-                    let map = self.writes.entry(bid).or_default();
+                    let log = &mut self.writes[wlog];
                     for l in 0..lanes {
                         if mask.on[l] {
-                            map.insert(self.icol[l] as usize, self.scratch[rv + l]);
+                            log.push(self.icol[l] as usize, self.scratch[rv + l]);
                         }
                     }
                     self.memory_access(&mask.on, elem_bytes);
@@ -2618,7 +2674,8 @@ fn run_group(
     dk: &DecodedKernel,
     device: &DeviceProfile,
     base: &DeviceMemory,
-    buf_ids: &[Option<BufId>],
+    bufs: &[Option<(BufId, usize)>],
+    n_slots: usize,
     scalar_bits: &[Option<u64>],
     local_sizes: &[(ScalarType, usize)],
     group_id: u64,
@@ -2632,7 +2689,7 @@ fn run_group(
     let mut run = GroupRun {
         dk,
         base,
-        buf_ids,
+        bufs,
         scalar_bits,
         group_id,
         group_size: device.group_size as u64,
@@ -2643,7 +2700,7 @@ fn run_group(
         files: RegFiles::new(&dk.file_len, lanes),
         privs: vec![Vec::new(); dk.priv_class.len() * lanes],
         locals: local_sizes.iter().map(|&(_, n)| vec![0u64; n]).collect(),
-        writes: HashMap::new(),
+        writes: (0..n_slots).map(|_| WriteLog::default()).collect(),
         stack: Vec::with_capacity(16),
         offsets: vec![None; lanes],
         segs: Vec::with_capacity(device.warp_size as usize),
@@ -2785,12 +2842,24 @@ pub fn launch_decoded(
     let group_size = device.group_size as u64;
     let num_groups = num_threads.div_ceil(group_size).max(1);
     // Resolve launch arguments once.
-    let mut buf_ids: Vec<Option<BufId>> = vec![None; args.len()];
+    // Each distinct buffer gets one write-log slot, in order of first
+    // appearance; arguments naming the same buffer share it.
+    let mut bufs: Vec<Option<(BufId, usize)>> = vec![None; args.len()];
+    let mut slot_bufs: Vec<BufId> = Vec::new();
     let mut scalar_bits: Vec<Option<u64>> = vec![None; args.len()];
     let mut scalars: Vec<Option<Scalar>> = vec![None; args.len()];
     for (i, a) in args.iter().enumerate() {
         match a {
-            Arg::Buffer(b) => buf_ids[i] = Some(*b),
+            Arg::Buffer(b) => {
+                let slot = match slot_bufs.iter().position(|s| s == b) {
+                    Some(slot) => slot,
+                    None => {
+                        slot_bufs.push(*b);
+                        slot_bufs.len() - 1
+                    }
+                };
+                bufs[i] = Some((*b, slot));
+            }
             Arg::Scalar(s) => {
                 scalar_bits[i] = Some(enc(*s));
                 scalars[i] = Some(*s);
@@ -2801,7 +2870,7 @@ pub fn launch_decoded(
     // registers are statically classed from the declaration, so a mismatch
     // would silently reinterpret bits.
     for (i, p) in dk.params.iter().enumerate() {
-        if let (KParam::Buffer(want), Some(Some(bid))) = (p, buf_ids.get(i)) {
+        if let (KParam::Buffer(want), Some(Some((bid, _)))) = (p, bufs.get(i)) {
             let got = mem
                 .download(*bid)
                 .map_err(|_| SimError::UseAfterFree {
@@ -2851,7 +2920,8 @@ pub fn launch_decoded(
             dk,
             device,
             base,
-            &buf_ids,
+            &bufs,
+            slot_bufs.len(),
             &scalar_bits,
             &local_sizes,
             g,
@@ -2910,9 +2980,9 @@ pub fn launch_decoded(
     let mut uniform_misses = 0u64;
     for out in outs.into_iter().flatten() {
         let out = out?;
-        for (bid, writes) in out.writes {
+        for (&bid, log) in slot_bufs.iter().zip(&out.writes) {
             let buf = mem.raw_mut(bid);
-            for (i, bits) in writes {
+            for &(i, bits) in &log.entries {
                 buf_set_bits(buf, i, bits);
             }
         }
@@ -3243,53 +3313,69 @@ mod tests {
 
     #[test]
     fn group_reads_its_own_writes_through_the_overlay() {
-        // Write out[id] = id, then read it back and double it, all in one
-        // launch: reads must see the group's own earlier writes.
+        // All in one launch, on both engines and at 1 and 4 host threads:
+        // - buffer 0: write out[id] = id, read it back, write double it;
+        // - buffer 1: write→read→write→read of one element, the second
+        //   read copied to buffer 2 (reads see the latest write, and the
+        //   index built by the first read follows the second write);
+        // - buffer 3: two writes of one element, never read (commit keeps
+        //   the last value).
         let dev = DeviceProfile::gtx780();
+        let id = || KExp::GlobalId;
+        let w = |buf, value| KStm::GlobalWrite {
+            buf,
+            index: id(),
+            value,
+        };
+        let r = |var, buf| KStm::GlobalRead {
+            var,
+            buf,
+            index: id(),
+        };
         let k = Kernel {
             name: "rmw".into(),
-            params: vec![KParam::Buffer(ScalarType::I64)],
+            params: vec![KParam::Buffer(ScalarType::I64); 4],
             locals: vec![],
-            num_regs: 1,
+            num_regs: 3,
             num_priv: 0,
             prov_table: vec![],
             body: vec![
-                KStm::GlobalWrite {
-                    buf: 0,
-                    index: KExp::GlobalId,
-                    value: KExp::GlobalId,
-                },
-                KStm::GlobalRead {
-                    var: 0,
-                    buf: 0,
-                    index: KExp::GlobalId,
-                },
-                KStm::GlobalWrite {
-                    buf: 0,
-                    index: KExp::GlobalId,
-                    value: KExp::Var(0).mul(KExp::i64(2)),
-                },
+                w(0, id()),
+                r(0, 0),
+                w(0, KExp::Var(0).mul(KExp::i64(2))),
+                w(1, id().add(KExp::i64(1))),
+                r(1, 1),
+                w(1, KExp::Var(1).mul(KExp::i64(3))),
+                r(2, 1),
+                w(2, KExp::Var(2)),
+                w(3, KExp::i64(5)),
+                w(3, id().add(KExp::i64(7))),
             ],
         };
         let dk = DecodedKernel::decode(&k).unwrap();
-        for threads in [1, 4] {
-            let mut mem = DeviceMemory::new();
-            let out = mem.alloc(ScalarType::I64, 600).unwrap();
-            launch_decoded(
-                &dev,
-                &dk,
-                600,
-                &[Arg::Buffer(out)],
-                &mut mem,
-                on_threads(threads),
-            )
-            .unwrap();
-            let Buffer::I64(v) = mem.download(out).unwrap() else {
-                panic!()
-            };
-            assert_eq!(v[0], 0);
-            assert_eq!(v[299], 598);
-            assert_eq!(v[599], 1198);
+        for engine in [SimEngine::Warp, SimEngine::Lane] {
+            for threads in [1, 4] {
+                let mut mem = DeviceMemory::new();
+                let bufs: Vec<BufId> = (0..4)
+                    .map(|_| mem.alloc(ScalarType::I64, 600).unwrap())
+                    .collect();
+                let args: Vec<Arg> = bufs.iter().map(|&b| Arg::Buffer(b)).collect();
+                let opts = RunOptions {
+                    engine,
+                    ..on_threads(threads)
+                };
+                launch_decoded(&dev, &dk, 600, &args, &mut mem, opts).unwrap();
+                let read = |b: BufId| match mem.download(b).unwrap() {
+                    Buffer::I64(v) => v.clone(),
+                    _ => panic!(),
+                };
+                let want = |f: fn(i64) -> i64| (0..600).map(f).collect::<Vec<i64>>();
+                let ctx = format!("{engine:?} at {threads} threads");
+                assert_eq!(read(bufs[0]), want(|i| 2 * i), "{ctx}");
+                assert_eq!(read(bufs[1]), want(|i| 3 * (i + 1)), "{ctx}");
+                assert_eq!(read(bufs[2]), want(|i| 3 * (i + 1)), "{ctx}");
+                assert_eq!(read(bufs[3]), want(|i| i + 7), "{ctx}");
+            }
         }
     }
 
